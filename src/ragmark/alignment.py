@@ -4,15 +4,24 @@ A sentence's relevance to a query is the sum, over query terms, of each
 term's best cosine similarity against the sentence's content terms
 (late-interaction / MaxSim style). Coverage declares a query term matched
 once any selected evidence term exceeds a similarity threshold M.
+
+All scoring goes through `MaxSimScorer`, which takes the cosines of one set
+of terms against a sentence pool as a single matrix product and reduces it
+to a term x sentence MaxSim matrix. A chain's rankings are then row sums of
+that matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from itertools import chain
+from typing import Iterable, Mapping, Sequence
 
-from .embeddings import TermVector, cosine
-from .errors import MissingVector
+import numpy as np
+
+# `cosine` stays importable from here as the scalar definition the matrix reproduces.
+from .embeddings import TermVector, cosine  # noqa: F401
+from .errors import DimensionMismatch, MissingVector, ZeroVector
 from .text import SentenceSpan, Term, content_surfaces
 
 
@@ -37,6 +46,153 @@ def _vector(surface: str, vectors: Mapping[str, TermVector]) -> TermVector:
         raise MissingVector(f"no embedding for term {surface!r}") from None
 
 
+def _cosine_matrix(
+    rows: Sequence[str], cols: Sequence[str], vectors: Mapping[str, TermVector]
+) -> np.ndarray:
+    """Cosines of every row surface against every column surface, clipped to [-1, 1].
+
+    Raises what the pairwise `cosine` calls would: MissingVector for any row
+    surface, and, when there is at least one pair, MissingVector for a column
+    surface, DimensionMismatch for unequal dimensions and ZeroVector for a
+    zero vector.
+    """
+    for s in rows:
+        _vector(s, vectors)
+    if not rows or not cols:
+        return np.zeros((len(rows), len(cols)))
+    surfaces = list(dict.fromkeys([*rows, *cols]))
+    vecs = [_vector(s, vectors) for s in surfaces]
+    dims = {v.dimension for v in vecs}
+    if len(dims) > 1:
+        raise DimensionMismatch(f"term vectors of dimensions {sorted(dims)}")
+    (dim,) = dims
+    values = chain.from_iterable(v.values for v in vecs)
+    m = np.fromiter(values, dtype=np.float64, count=len(vecs) * dim).reshape(len(vecs), dim)
+    norms = np.linalg.norm(m, axis=1)
+    if not norms.all():
+        raise ZeroVector("cosine undefined for the zero vector")
+    at = {s: i for i, s in enumerate(surfaces)}
+    r, c = [at[s] for s in rows], [at[s] for s in cols]
+    return np.clip((m[r] @ m[c].T) / np.outer(norms[r], norms[c]), -1.0, 1.0)
+
+
+class MaxSimScorer:
+    """MaxSim scores of a set of row terms against every sentence of one pool.
+
+    `best[r, s]` is max(0, the best cosine of row term r against sentence s's
+    content terms), and 0 for a sentence without content terms. The cosines
+    come from one matrix over the rows and the pool's content terms, so each
+    (term, term) pair is computed once however many rankings use it. A
+    ranking is a row sum, added in query-term order, so every score is the
+    same float sum the per-sentence definition gives. Built for one request
+    and dropped with it.
+    """
+
+    def __init__(
+        self,
+        pool: Sequence[SentenceSpan],
+        vectors: Mapping[str, TermVector],
+        row_surfaces: Iterable[str],
+    ):
+        self.pool = tuple(pool)
+        self._surfaces = [content_surfaces(span) for span in self.pool]
+        cols = sorted(set().union(*self._surfaces))
+        rows = sorted(set(row_surfaces))
+        self._row = {s: i for i, s in enumerate(rows)}
+        sim = _cosine_matrix(rows, cols, vectors)
+
+        # Sentences with the same number of content terms take one gather and
+        # one max; a sentence without content terms keeps 0.
+        col_index = {s: i for i, s in enumerate(cols)}
+        by_width: dict[int, list[int]] = {}
+        for pos, surfaces in enumerate(self._surfaces):
+            if surfaces:
+                by_width.setdefault(len(surfaces), []).append(pos)
+        best = np.zeros((len(rows), len(self.pool)))
+        if rows:
+            for positions in by_width.values():
+                idx = [[col_index[s] for s in self._surfaces[p]] for p in positions]
+                best[:, positions] = sim[:, idx].max(axis=2)
+        # max(0.0, cosine): a term never contributes a negative similarity.
+        self._best = np.where(best > 0.0, best, 0.0)
+        self._rankings: dict[tuple[str, ...], np.ndarray] = {}
+
+    @classmethod
+    def for_queries(
+        cls,
+        pool: Sequence[SentenceSpan],
+        vectors: Mapping[str, TermVector],
+        queries: Iterable[Sequence[Term]],
+    ) -> MaxSimScorer:
+        """Scorer for evidence chains: rows are the query terms plus, because
+        later hops re-query with selected evidence terms, the pool's content
+        terms. No rows (and no vector lookups) when every query is empty."""
+        rows = {t.surface for terms in queries for t in terms}
+        if rows:
+            rows.update(*(content_surfaces(span) for span in pool))
+        return cls(pool, vectors, rows)
+
+    def _rows(self, surfaces: Iterable[str]) -> list[int]:
+        try:
+            return [self._row[s] for s in surfaces]
+        except KeyError as exc:
+            raise ValueError(f"term {exc.args[0]!r} is not a row of this scorer") from None
+
+    def scores(self, surfaces: Sequence[str]) -> np.ndarray:
+        """Alignment score of every pool sentence against a term sequence.
+
+        Repeated surfaces count once per occurrence, as in `align_score`.
+        """
+        rows = self._rows(surfaces)
+        if not rows:
+            return np.zeros(len(self.pool))
+        total = self._best[rows[0]].copy()
+        for r in rows[1:]:  # sequential, in term order: the same float sum as align_score
+            total += self._best[r]
+        return total
+
+    def ranking(self, surfaces: Sequence[str]) -> tuple[np.ndarray, int]:
+        """Pool positions by (score desc, position asc), and the sentences scored to get them.
+
+        A ranking is computed once per distinct term sequence and reused for
+        the life of the scorer; a reuse scores 0 sentences.
+        """
+        key = tuple(surfaces)
+        order = self._rankings.get(key)
+        if order is not None:
+            return order, 0
+        order = np.argsort(-self.scores(key), kind="stable")
+        self._rankings[key] = order
+        return order, len(self.pool)
+
+    def alignment(self, surfaces: Sequence[str], pos: int) -> AlignmentScore:
+        """The `AlignmentScore` of the sentence at pool position `pos`."""
+        per_term = {s: float(self._best[r, pos]) for s, r in zip(surfaces, self._rows(surfaces))}
+        score = sum(per_term[s] for s in surfaces)
+        return AlignmentScore(sentence=self.pool[pos], score=score, per_term=per_term)
+
+    def coverage(
+        self, query_surfaces: Iterable[str], positions: Sequence[int], threshold: float
+    ) -> CoverageState:
+        """Partition query surfaces by the evidence at the given pool positions.
+
+        A surface is covered when the evidence contains it verbatim (cosine 1
+        > M for any M <= 1) or when its best cosine against an evidence
+        content term is strictly greater than `threshold`.
+        """
+        if not 0.0 < threshold <= 1.0:
+            raise ValueError("threshold must be in (0, 1]")
+        query = frozenset(query_surfaces)
+        evidence_surfaces = set().union(*(self._surfaces[p] for p in positions))
+        covered = query & evidence_surfaces
+        rest = sorted(query - covered)
+        if rest and positions:
+            best = self._best[np.ix_(self._rows(rest), list(positions))].max(axis=1)
+            covered |= {s for s, b in zip(rest, best) if b > threshold}
+        covered = frozenset(covered)
+        return CoverageState(covered=covered, remainder=query - covered, threshold=threshold)
+
+
 def align_score(
     query_terms: Sequence[Term],
     sentence: SentenceSpan,
@@ -48,18 +204,8 @@ def align_score(
     sentence's content terms, so duplicated query terms count twice. A query
     term contributes 0 when the sentence has no content terms.
     """
-    sentence_surfaces = sorted(content_surfaces(sentence))
-    per_term: dict[str, float] = {}
-    for qt in query_terms:
-        if qt.surface in per_term:
-            continue
-        qv = _vector(qt.surface, vectors)
-        best = 0.0
-        for ps in sentence_surfaces:
-            best = max(best, cosine(qv, _vector(ps, vectors)))
-        per_term[qt.surface] = best
-    score = sum(per_term[qt.surface] for qt in query_terms)
-    return AlignmentScore(sentence=sentence, score=score, per_term=per_term)
+    surfaces = [t.surface for t in query_terms]
+    return MaxSimScorer((sentence,), vectors, surfaces).alignment(surfaces, 0)
 
 
 def coverage(
@@ -75,19 +221,6 @@ def coverage(
     """
     if not 0.0 < threshold <= 1.0:
         raise ValueError("threshold must be in (0, 1]")
-    evidence_surfaces: set[str] = set()
-    for span in evidence:
-        evidence_surfaces |= content_surfaces(span)
-    evidence_sorted = sorted(evidence_surfaces)
-    covered: set[str] = set()
-    for qs in sorted(query_surfaces):
-        if qs in evidence_surfaces:
-            covered.add(qs)  # identical surface: cosine 1 > M for any M <= 1
-            continue
-        qv = _vector(qs, vectors)
-        for es in evidence_sorted:
-            if cosine(qv, _vector(es, vectors)) > threshold:
-                covered.add(qs)
-                break
-    remainder = frozenset(query_surfaces) - covered
-    return CoverageState(covered=frozenset(covered), remainder=remainder, threshold=threshold)
+    evidence_surfaces = set().union(*(content_surfaces(span) for span in evidence))
+    scorer = MaxSimScorer(evidence, vectors, set(query_surfaces) - evidence_surfaces)
+    return scorer.coverage(query_surfaces, range(len(evidence)), threshold)

@@ -8,8 +8,9 @@ Two providers share one interface:
   term surface, so the whole test suite runs with no network and identical
   vectors on every machine.
 
-Vectors are cached in an append-only JSONL file; a corrupt trailing record
-(crash mid-write) is dropped on load.
+Vectors are cached in an append-only JSONL file. A torn last line (crash
+mid-write) is repaired on open, so later appends start on a fresh line, and
+any other corrupt record is skipped on load.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import numpy as np
 import requests
 
 from .errors import DimensionMismatch, RemoteUnavailable, ZeroVector
+from .jsonl import repair_tail
 
 
 @dataclass(frozen=True)
@@ -95,6 +97,7 @@ class VectorCache:
         self._load()
 
     def _load(self) -> None:
+        repair_tail(self.path)
         if not self.path.exists():
             return
         for line in self.path.read_text(encoding="utf-8").splitlines():

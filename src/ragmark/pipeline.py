@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from .alignment import MaxSimScorer
 from .embeddings import EmbeddingProvider, TermVector
 from .highlight import HighlightedDocument, highlight
 from .retriever import EvidenceChain, RetrieverParams, collect_evidence, retrieve_parallel_chains
@@ -57,14 +58,18 @@ def select_evidence(
     stepback_client: ChatClient | None = None,
     choices: dict[str, str] | None = None,
 ) -> EvidenceResult:
-    """Run the full selection pipeline over already-retrieved passages."""
+    """Run the full selection pipeline over already-retrieved passages.
+
+    All queries of the request share one MaxSim scorer over the pool.
+    """
     queries = build_queries(question, choices, stepback_client)
     pool = sentence_pool(passages)
     vectors = gather_vectors(queries, pool, provider)
+    query_terms = [q.terms for q in queries if q.terms]
+    scorer = MaxSimScorer.for_queries(pool, vectors, query_terms)
     chains: list[EvidenceChain] = []
-    for query in queries:
-        if query.terms:
-            chains.extend(retrieve_parallel_chains(query.terms, pool, vectors, params))
+    for terms in query_terms:
+        chains.extend(retrieve_parallel_chains(terms, pool, vectors, params, scorer=scorer))
     evidence = collect_evidence(chains, pool)
     document = highlight(passages, list(evidence))
     return EvidenceResult(

@@ -12,7 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .alignment import AlignmentScore, align_score, coverage
+import numpy as np
+
+# `align_score` and `coverage` stay importable from here: they are the
+# per-sentence definitions of what `MaxSimScorer` computes for a whole pool.
+from .alignment import AlignmentScore, MaxSimScorer, align_score, coverage  # noqa: F401
 from .embeddings import TermVector
 from .errors import EmptyCandidatePool
 from .text import SentenceSpan, Term, content_surfaces
@@ -44,23 +48,12 @@ class Hop:
 class EvidenceChain:
     hops: tuple[Hop, ...]
     terminated_by: str  # "full-coverage" | "hop-cap" | "no-candidates"
-    scoring_calls: int  # sentences scored while building this chain
+    # Sentences scored while building this chain; a hop-1 ranking shared
+    # with an earlier chain of the same scorer counts only there.
+    scoring_calls: int
 
     def sentences(self) -> tuple[SentenceSpan, ...]:
         return tuple(h.sentence for h in self.hops)
-
-
-def _rank_candidates(
-    working_terms: Sequence[Term],
-    candidates: list[tuple[int, SentenceSpan]],
-    vectors: Mapping[str, TermVector],
-) -> list[tuple[float, int, AlignmentScore]]:
-    """Score candidates and sort best-first; ties go to the lowest pool position."""
-    scored = [
-        (align_score(working_terms, span, vectors), pos) for pos, span in candidates
-    ]
-    scored.sort(key=lambda item: (-item[0].score, item[1]))
-    return [(s.score, pos, s) for s, pos in scored]
 
 
 def retrieve_chain(
@@ -69,66 +62,63 @@ def retrieve_chain(
     vectors: Mapping[str, TermVector],
     params: RetrieverParams = RetrieverParams(),
     first_pick_rank: int = 1,
+    *,
+    scorer: MaxSimScorer | None = None,
 ) -> EvidenceChain:
     """Build one evidence chain.
 
     Hop 1 takes the sentence at `first_pick_rank` (1-based) in the alignment
     ranking against the full query. Later hops re-score unselected sentences
     against the remainder terms, expanded with terms from already-selected
-    evidence when fewer than `t_ambiguity` remain uncovered.
+    evidence when fewer than `t_ambiguity` remain uncovered. Ties go to the
+    lowest pool position. `scorer` lets chains over the same pool share one
+    MaxSim matrix and their hop-1 ranking; by default the chain builds its own.
     """
     if not candidates:
         raise EmptyCandidatePool("no candidate sentences")
     if not 1 <= first_pick_rank <= params.n_parallel:
         raise ValueError("first_pick_rank must be in 1..n_parallel")
+    if scorer is None:
+        scorer = MaxSimScorer.for_queries(candidates, vectors, [query_terms])
+    elif scorer.pool != tuple(candidates):
+        raise ValueError("scorer was built for a different candidate pool")
 
-    query_unique = {t.surface for t in query_terms}
-    remaining = list(enumerate(candidates))
-    scoring_calls = 0
-
-    ranked = _rank_candidates(query_terms, remaining, vectors)
-    scoring_calls += len(remaining)
-    if first_pick_rank > len(ranked):
-        first_pick_rank = len(ranked)
-    _, pick_pos, pick_score = ranked[first_pick_rank - 1]
-
+    query_surfaces = [t.surface for t in query_terms]
+    query_unique = set(query_surfaces)
+    selected: list[int] = []
     hops: list[Hop] = []
-    selected: list[SentenceSpan] = []
 
-    def select(pos: int, score: AlignmentScore) -> frozenset[str]:
-        span = candidates[pos]
-        selected.append(span)
-        remaining[:] = [(p, s) for p, s in remaining if p != pos]
-        state = coverage(query_unique, selected, vectors, params.m_threshold)
+    ranked, scoring_calls = scorer.ranking(query_surfaces)
+    pick = int(ranked[min(first_pick_rank, len(ranked)) - 1])
+    working = query_surfaces
+    while True:
+        selected.append(pick)
+        remainder = scorer.coverage(query_unique, selected, params.m_threshold).remainder
         hops.append(
             Hop(
                 hop_index=len(hops) + 1,
-                sentence=span,
-                score=score,
-                remainder_after=state.remainder,
+                sentence=candidates[pick],
+                score=scorer.alignment(working, pick),
+                remainder_after=remainder,
             )
         )
-        return state.remainder
-
-    remainder = select(pick_pos, pick_score)
-    while True:
         if not remainder:
             return EvidenceChain(tuple(hops), "full-coverage", scoring_calls)
         if len(hops) >= params.k_max_hops:
             return EvidenceChain(tuple(hops), "hop-cap", scoring_calls)
-        if not remaining:
+        if len(selected) == len(candidates):
             return EvidenceChain(tuple(hops), "no-candidates", scoring_calls)
 
-        working: set[str] = set(remainder)
+        terms = set(remainder)
         if len(remainder) < params.t_ambiguity:
-            for span in selected:
-                working |= content_surfaces(span)
-        working_terms = tuple(Term(s, False) for s in sorted(working))
+            for pos in selected:
+                terms |= content_surfaces(candidates[pos])
+        working = sorted(terms)
 
-        ranked = _rank_candidates(working_terms, remaining, vectors)
-        scoring_calls += len(remaining)
-        _, pick_pos, pick_score = ranked[0]
-        remainder = select(pick_pos, pick_score)
+        scores = scorer.scores(working)
+        scores[selected] = -np.inf
+        scoring_calls += len(candidates) - len(selected)
+        pick = int(np.argmax(scores))  # first maximum: the lowest pool position
 
 
 def retrieve_parallel_chains(
@@ -136,13 +126,20 @@ def retrieve_parallel_chains(
     candidates: Sequence[SentenceSpan],
     vectors: Mapping[str, TermVector],
     params: RetrieverParams = RetrieverParams(),
+    *,
+    scorer: MaxSimScorer | None = None,
 ) -> tuple[EvidenceChain, ...]:
-    """One chain per seed rank 1..n_parallel (fewer when the pool is small)."""
+    """One chain per seed rank 1..n_parallel (fewer when the pool is small).
+
+    The chains share one scorer, so the hop-1 ranking is computed once.
+    """
     if not candidates:
         raise EmptyCandidatePool("no candidate sentences")
+    if scorer is None:
+        scorer = MaxSimScorer.for_queries(candidates, vectors, [query_terms])
     n = min(params.n_parallel, len(candidates))
     return tuple(
-        retrieve_chain(query_terms, candidates, vectors, params, first_pick_rank=rank)
+        retrieve_chain(query_terms, candidates, vectors, params, first_pick_rank=rank, scorer=scorer)
         for rank in range(1, n + 1)
     )
 

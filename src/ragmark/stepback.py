@@ -17,12 +17,14 @@ import os
 import threading
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Protocol
 
 import requests
 
 from .errors import EmptyReply, LlmUnavailable
+from .jsonl import repair_tail
 from .text import Term, extract_terms
 
 STEPBACK_QUESTION_TEMPLATE = """You are an expert at world knowledge. Your task is to step back and paraphrase a question to a more generic step-back question, which is easier to answer. Here are a few examples:
@@ -124,6 +126,7 @@ class ReplyCache:
         self.path = Path(path)
         self._lock = threading.Lock()
         self._replies: dict[str, str] = {}
+        repair_tail(self.path)
         if self.path.exists():
             for line in self.path.read_text(encoding="utf-8").splitlines():
                 if not line.strip():
@@ -206,7 +209,7 @@ class ConjoinedQuery:
     stepback: str | None = None
     choice_concepts: str | None = None
 
-    @property
+    @cached_property
     def terms(self) -> tuple[Term, ...]:
         parts = [self.original]
         if self.stepback:

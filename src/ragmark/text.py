@@ -8,6 +8,7 @@ no lemmatization, no model calls.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -79,11 +80,6 @@ def extract_terms(
     return tuple(out)
 
 
-def term_surfaces(terms: tuple[Term, ...] | list[Term]) -> set[str]:
-    """Unique surfaces of a term sequence."""
-    return {t.surface for t in terms}
-
-
 # Trailing strings that look like sentence ends but are not.
 ABBREVIATIONS = frozenset(
     {
@@ -113,30 +109,17 @@ ABBREVIATIONS = frozenset(
     }
 )
 
-_TERMINATORS = frozenset(".!?")
+# A whitespace-delimited word ending in a terminator that is followed by
+# whitespace or the end of the text, so never the dot inside "7.4".
+# `\s`/`\S` are exactly `str.isspace` and its negation.
+_ENDING_WORD = re.compile(r"(?<!\S)\S*[.!?](?=\s|\Z)")
 
 
-def _is_sentence_end(text: str, i: int) -> bool:
-    """True when the terminator at position `i` genuinely ends a sentence."""
-    if i + 1 < len(text) and not text[i + 1].isspace():
-        return False
-    if text[i] == ".":
-        # Never split inside digit.digit (handles "7.4" before a linebreak edge case
-        # only when the dot is between digits, which the whitespace check above
-        # already excludes; guard kept for terminal "...7.4" followed by space).
-        if 0 < i < len(text) - 1 and text[i - 1].isdigit() and text[i + 1].isdigit():
-            return False
-        # Abbreviation guard: inspect the word ending at this dot.
-        j = i
-        while j > 0 and not text[j - 1].isspace():
-            j -= 1
-        word = text[j : i + 1].lower()
-        if word in ABBREVIATIONS:
-            return False
-        # Initials such as "J." or dotted acronyms not in the guard list.
-        if len(word) == 2 and word[0].isalpha():
-            return False
-    return True
+def _is_abbreviation(word: str) -> bool:
+    """True for a listed abbreviation or an initial such as "J." (or a dotted
+    acronym not in the list); `word` ends in its terminator."""
+    word = word.lower()
+    return word[-1] == "." and (word in ABBREVIATIONS or (len(word) == 2 and word[0].isalpha()))
 
 
 def split_sentences(
@@ -146,35 +129,26 @@ def split_sentences(
 ) -> tuple[SentenceSpan, ...]:
     """Segment `passage_text` into non-overlapping sentence spans.
 
-    Splits on '.', '!', '?' followed by whitespace or end of text, with an
-    abbreviation guard and a digit.digit guard. A passage without any
+    Splits on '.', '!', '?' followed by whitespace or end of text (so never
+    inside "7.4"), with an abbreviation guard. A passage without any
     terminator yields a single span. Spans never include surrounding
     whitespace, so reslicing is verbatim.
     """
+    ends = [m.end() for m in _ENDING_WORD.finditer(passage_text) if not _is_abbreviation(m.group())]
+    content_end = len(passage_text.rstrip())
+    if content_end > (ends[-1] if ends else 0):
+        ends.append(content_end)  # text after the last terminator is one more sentence
     spans: list[SentenceSpan] = []
-    n = len(passage_text)
     pos = 0
-    while pos < n:
-        while pos < n and passage_text[pos].isspace():
+    for end in ends:
+        while passage_text[pos].isspace():  # stops before `end`: text[end - 1] is not space
             pos += 1
-        if pos >= n:
-            break
-        end = None
-        for i in range(pos, n):
-            if passage_text[i] in _TERMINATORS and _is_sentence_end(passage_text, i):
-                end = i + 1
-                break
-        if end is None:
-            end = n
-            while end > pos and passage_text[end - 1].isspace():
-                end -= 1
-        sentence = passage_text[pos:end]
         spans.append(
             SentenceSpan(
                 passage_id=passage_id,
                 start=pos,
                 end=end,
-                terms=extract_terms(sentence, drop_stopwords=False, stopwords=stopwords),
+                terms=extract_terms(passage_text[pos:end], drop_stopwords=False, stopwords=stopwords),
             )
         )
         pos = end

@@ -55,3 +55,43 @@ def bm25_reference(
             score += idf * tf * (k1 + 1.0) / (tf + k1 * (1.0 - b + b * dl / avgdl))
         scores.append(score)
     return scores
+
+
+def reference_sentence_bounds(text: str, abbreviations: frozenset[str]) -> list[tuple[int, int]]:
+    """(start, end) of each sentence, by testing every character in turn.
+
+    A '.', '!' or '?' ends a sentence when followed by whitespace or the end
+    of the text, unless it is a '.' between digits, closes a listed
+    abbreviation or closes a one-letter initial.
+    """
+    n = len(text)
+
+    def ends(i: int) -> bool:
+        if i + 1 < n and not text[i + 1].isspace():
+            return False
+        if text[i] == ".":
+            if 0 < i < n - 1 and text[i - 1].isdigit() and text[i + 1].isdigit():
+                return False
+            j = i
+            while j > 0 and not text[j - 1].isspace():
+                j -= 1
+            word = text[j : i + 1].lower()
+            if word in abbreviations or (len(word) == 2 and word[0].isalpha()):
+                return False
+        return True
+
+    bounds = []
+    pos = 0
+    while pos < n:
+        while pos < n and text[pos].isspace():
+            pos += 1
+        if pos >= n:
+            break
+        end = next((i + 1 for i in range(pos, n) if text[i] in ".!?" and ends(i)), None)
+        if end is None:
+            end = n
+            while end > pos and text[end - 1].isspace():
+                end -= 1
+        bounds.append((pos, end))
+        pos = end
+    return bounds
