@@ -70,7 +70,11 @@ class ChatClient(Protocol):
 
 
 class HttpChatClient:
-    """POSTs a single-user-message chat request; returns the first choice's content."""
+    """POSTs a single-user-message chat request; returns the first choice's content.
+
+    Content that is not text (`null` when the model produced none) raises
+    `EmptyReply`, so it is neither cached nor retried.
+    """
 
     def __init__(
         self,
@@ -105,11 +109,15 @@ class HttpChatClient:
                     timeout=self.config.timeout,
                 )
                 resp.raise_for_status()
-                return resp.json()["choices"][0]["message"]["content"]
+                content = resp.json()["choices"][0]["message"]["content"]
             except (requests.RequestException, KeyError, IndexError, ValueError) as exc:
                 last_error = exc
                 if attempt < self.config.retries:
                     time.sleep(min(2.0**attempt * 0.1, 2.0))
+                continue
+            if not isinstance(content, str):  # e.g. `null`: an answer, so no retry
+                raise EmptyReply(f"chat endpoint returned {type(content).__name__} content, not text")
+            return content
         raise LlmUnavailable(
             f"chat endpoint failed after {self.config.retries + 1} attempts: {last_error}"
         )
@@ -237,7 +245,10 @@ def stepback_choice_concepts(choice_text: str, client: ChatClient) -> str:
     if not choice_text:
         raise ValueError("choice text must be non-empty")
     prompt = STEPBACK_CHOICE_TEMPLATE.format(answer_text=choice_text)
-    reply = client.complete(prompt).strip()
+    try:
+        reply = client.complete(prompt).strip()
+    except EmptyReply:
+        return choice_text
     if reply.lower().startswith("answer:"):
         reply = reply[len("answer:") :].strip()
     return reply if reply else choice_text
@@ -260,8 +271,8 @@ def expand_query(
 ) -> ConjoinedQuery:
     """Conjoin `question` with step-back expansions when a client is given.
 
-    A blank step-back reply falls back to the original-only query; a blank
-    concept reply falls back to the raw choice text.
+    A blank or textless step-back reply falls back to the original-only
+    query; a blank or textless concept reply falls back to the raw choice text.
     """
     if client is None:
         return conjoin(question)

@@ -12,10 +12,11 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 from .errors import DuplicateId, EmptyIndex, MalformedRecord, MissingField
-from .text import SentenceSpan, extract_terms, split_sentences
+from .text import STOPWORDS, SentenceSpan, extract_terms, split_sentences, word_surfaces
 
 
 @dataclass(frozen=True)
@@ -50,20 +51,20 @@ class Bm25Index:
 
     def __init__(self, passages: list[Passage], params: Bm25Params = Bm25Params()):
         ids = [p.id for p in passages]
-        if len(set(ids)) != len(ids):
-            dupes = sorted({i for i in ids if ids.count(i) > 1})
+        dupes = sorted(i for i, count in Counter(ids).items() if count > 1)
+        if dupes:
             raise DuplicateId(f"duplicate passage ids: {dupes}")
         self.params = params
         self.passages = tuple(passages)
-        self._term_freqs: list[Counter[str]] = []
+        self._postings: dict[str, dict[int, int]] = {}  # term -> {doc index: tf}
         self.doc_lengths: list[int] = []
-        self.doc_freq: Counter[str] = Counter()
-        for p in passages:
-            terms = [t.surface for t in extract_terms(f"{p.title} {p.text}", drop_stopwords=True)]
-            freqs = Counter(terms)
-            self._term_freqs.append(freqs)
+        for i, p in enumerate(passages):
+            terms = [s for s in word_surfaces(f"{p.title} {p.text}") if s not in STOPWORDS]
             self.doc_lengths.append(len(terms))
-            self.doc_freq.update(freqs.keys())
+            for term, tf in Counter(terms).items():
+                self._postings.setdefault(term, {})[i] = tf
+        self.doc_freq: Counter[str] = Counter({t: len(docs) for t, docs in self._postings.items()})
+        self._id_order = sorted(range(len(ids)), key=ids.__getitem__)
         self.n_docs = len(passages)
         self.avg_doc_length = sum(self.doc_lengths) / self.n_docs if self.n_docs else 0.0
 
@@ -72,30 +73,35 @@ class Bm25Index:
         return math.log((self.n_docs - df + 0.5) / (df + 0.5) + 1.0)
 
     def score(self, query_surfaces: list[str], doc_index: int) -> float:
-        freqs = self._term_freqs[doc_index]
         dl = self.doc_lengths[doc_index]
         k1, b = self.params.k1, self.params.b
         norm = k1 * (1.0 - b + b * dl / self.avg_doc_length) if self.avg_doc_length else k1
         total = 0.0
         for term in query_surfaces:
-            tf = freqs.get(term, 0)
+            tf = self._postings.get(term, {}).get(doc_index, 0)
             if tf == 0:
                 continue
             total += self.idf(term) * tf * (k1 + 1.0) / (tf + norm)
         return total
 
     def top_k(self, query: str, k: int) -> list[Passage]:
-        """Top-k passages by BM25 score, ties broken by ascending id."""
+        """Top-k passages by BM25 score, ties broken by ascending id.
+
+        Only passages holding a query term are scored. Each of them scores
+        above 0 (idf > 0 for df <= N, tf >= 1) and every other passage scores
+        exactly 0, so the others follow them in ascending id order.
+        """
         if self.n_docs == 0:
             raise EmptyIndex("index has no documents")
         if k < 1:
             raise ValueError("k must be positive")
         surfaces = [t.surface for t in extract_terms(query, drop_stopwords=True)]
-        scored = sorted(
-            range(self.n_docs),
-            key=lambda i: (-self.score(surfaces, i), self.passages[i].id),
-        )
-        return [self.passages[i] for i in scored[:k]]
+        matched = {i for term in surfaces for i in self._postings.get(term, ())}
+        ranked = sorted(matched, key=lambda i: (-self.score(surfaces, i), self.passages[i].id))[:k]
+        if len(ranked) < k:
+            unmatched = (i for i in self._id_order if i not in matched)
+            ranked.extend(islice(unmatched, k - len(ranked)))
+        return [self.passages[i] for i in ranked]
 
 
 def build_index(passages: list[Passage], params: Bm25Params = Bm25Params()) -> Bm25Index:

@@ -45,22 +45,32 @@ class SentenceSpan:
         return passage_text[self.start : self.end]
 
 
+# `[^\W_]` is exactly `str.isalnum`, and `\S` exactly not `str.isspace`. A
+# word's surface runs from its first alphanumeric character to its last.
+_WORD_SURFACE = re.compile(r"[^\W_](?:\S*[^\W_])?")
+_TRIMMED = re.compile(r"[^\W_](?:.*[^\W_])?", re.DOTALL)
+
+
 def normalize_term(raw: str, stopwords: frozenset[str] = STOPWORDS) -> Term | None:
     """Lowercase `raw` and strip surrounding non-alphanumeric characters.
 
     Returns None when stripping leaves nothing (e.g. punctuation-only input).
     Interior punctuation, including hyphens, is kept intact.
     """
-    surface = raw.lower()
-    lo, hi = 0, len(surface)
-    while lo < hi and not surface[lo].isalnum():
-        lo += 1
-    while hi > lo and not surface[hi - 1].isalnum():
-        hi -= 1
-    surface = surface[lo:hi]
-    if not surface:
+    match = _TRIMMED.search(raw.lower())
+    if match is None:
         return None
+    surface = match.group()
     return Term(surface=surface, is_stopword=surface in stopwords)
+
+
+def word_surfaces(text: str) -> list[str]:
+    """`normalize_term` surfaces of `text`'s whitespace-delimited words, in
+    order and with duplicates; words without an alphanumeric character are
+    skipped. One regex pass: lowercasing never turns a space into a non-space
+    or back, and no case rule looks across a space (final sigma stops at
+    one), so the whole text is lowercased first."""
+    return _WORD_SURFACE.findall(text.lower())
 
 
 def extract_terms(
@@ -70,13 +80,11 @@ def extract_terms(
 ) -> tuple[Term, ...]:
     """Whitespace-split and normalize `text`, preserving order and duplicates."""
     out = []
-    for piece in text.split():
-        term = normalize_term(piece, stopwords)
-        if term is None:
+    for surface in word_surfaces(text):
+        is_stopword = surface in stopwords
+        if drop_stopwords and is_stopword:
             continue
-        if drop_stopwords and term.is_stopword:
-            continue
-        out.append(term)
+        out.append(Term(surface=surface, is_stopword=is_stopword))
     return tuple(out)
 
 

@@ -95,3 +95,20 @@ def reference_sentence_bounds(text: str, abbreviations: frozenset[str]) -> list[
         bounds.append((pos, end))
         pos = end
     return bounds
+
+
+def reference_normalize(raw: str) -> str | None:
+    """`raw` lowercased and trimmed, one character at a time from each end,
+    to its first and last `str.isalnum` character; None when nothing is left."""
+    surface = raw.lower()
+    lo, hi = 0, len(surface)
+    while lo < hi and not surface[lo].isalnum():
+        lo += 1
+    while hi > lo and not surface[hi - 1].isalnum():
+        hi -= 1
+    return surface[lo:hi] or None
+
+
+def reference_surfaces(text: str) -> list[str]:
+    """`reference_normalize` of each whitespace-split word, empty ones dropped."""
+    return [s for s in map(reference_normalize, text.split()) if s is not None]
