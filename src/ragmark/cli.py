@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -38,12 +39,7 @@ EXIT_CONFIG_ERROR = 2
 def _load_config(config_path: str | None, **overrides) -> RunConfig:
     try:
         cfg = RunConfig.load(config_path) if config_path else RunConfig()
-        live = {k: v for k, v in overrides.items() if v is not None}
-        if live:
-            import dataclasses
-
-            cfg = dataclasses.replace(cfg, **live)
-        return cfg
+        return dataclasses.replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
     except (OSError, ValueError, TypeError, json.JSONDecodeError) as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(EXIT_CONFIG_ERROR)
@@ -53,8 +49,8 @@ def _chat_client(cfg: RunConfig, model_name: str) -> ChatClient | None:
     cache = ReplyCache(cfg.reply_cache_path) if cfg.reply_cache_path else None
     if cfg.llm_endpoint:
         client = HttpChatClient(LlmClientConfig(endpoint=cfg.llm_endpoint, model_name=model_name))
-        return CachingChatClient(client, cache) if cache else client
-    if cache:
+        return CachingChatClient(client, cache) if cache is not None else client
+    if cache is not None:
         return RecordedChatClient(cache, model_name=model_name)
     return None
 
@@ -75,14 +71,7 @@ def _handles(cfg: RunConfig) -> PipelineHandles:
 
 
 def _setting(cfg: RunConfig) -> RunSetting:
-    return RunSetting(
-        retrieval=cfg.retrieval,
-        highlighting=cfg.highlighting,
-        stepback=cfg.stepback,
-        top_k=cfg.top_k,
-        context_mode=cfg.context_mode,
-        model_family=cfg.model_family,
-    )
+    return RunSetting(**{f.name: getattr(cfg, f.name) for f in dataclasses.fields(RunSetting)})
 
 
 def _write_report(report: RunReport, out_dir: Path, cfg: RunConfig, name: str = "report") -> None:
@@ -145,14 +134,8 @@ def cmd_index(kb_path: str, out_path: str) -> None:
 @click.option("--no-stepback", is_flag=True, help="Disable step-back expansion.")
 def cmd_highlight(query, config_path, kb_path, out_path, k_max_hops, top_k, no_stepback) -> None:
     """Retrieve passages for one query, highlight evidence, dump the result."""
-    cfg = _load_config(config_path, kb_path=kb_path, top_k=top_k)
-    if no_stepback:
-        import dataclasses
-
-        cfg = dataclasses.replace(cfg, stepback=False)
+    cfg = _load_config(config_path, kb_path=kb_path, top_k=top_k, stepback=False if no_stepback else None)
     if k_max_hops is not None:
-        import dataclasses
-
         cfg = dataclasses.replace(cfg, retriever=dataclasses.replace(cfg.retriever, k_max_hops=k_max_hops))
     if not cfg.kb_path:
         click.echo("config error: highlight needs --kb or kb_path in the config", err=True)

@@ -12,23 +12,18 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .embeddings import ProviderConfig
+from .evaluation import RunSetting
 from .retriever import RetrieverParams
 from .store import Bm25Params
 
 
 @dataclass(frozen=True)
-class RunConfig:
+class RunConfig(RunSetting):
+    """A `RunSetting` (its fields come first) plus the run's parameters, paths and models."""
+
     retriever: RetrieverParams = field(default_factory=RetrieverParams)
     bm25: Bm25Params = field(default_factory=Bm25Params)
     provider: ProviderConfig = field(default_factory=ProviderConfig)
-
-    # retrieval / evaluation setting
-    retrieval: str = "precomputed-dense"  # "none" | "precomputed-dense" | "bm25"
-    highlighting: bool = True
-    stepback: bool = True
-    top_k: int | None = 11
-    context_mode: str = "full"
-    model_family: str = "mistral"
     context_window_tokens: int = 4096
 
     # inputs and outputs

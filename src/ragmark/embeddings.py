@@ -16,10 +16,8 @@ any other corrupt record is skipped on load.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import threading
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Mapping
@@ -28,7 +26,8 @@ import numpy as np
 import requests
 
 from .errors import DimensionMismatch, RemoteUnavailable, ZeroVector
-from .jsonl import repair_tail
+from .jsonl import KeyedJsonl
+from .remote import post_with_retries
 
 
 @dataclass(frozen=True)
@@ -87,54 +86,30 @@ class ProviderConfig:
         )
 
 
+def _decode_vector(rec: dict) -> tuple[str, TermVector]:
+    vec = TermVector(rec["term"], tuple(float(v) for v in rec["values"]))
+    if vec.dimension != rec["dim"]:
+        raise ValueError("dim does not match the values")
+    return vec.term_surface, vec
+
+
 class VectorCache:
     """Append-only JSONL store of (term, dim, values) records, term-keyed in memory."""
 
     def __init__(self, path: str | Path):
-        self.path = Path(path)
-        self._lock = threading.Lock()
-        self._vectors: dict[str, TermVector] = {}
-        self._load()
-
-    def _load(self) -> None:
-        repair_tail(self.path)
-        if not self.path.exists():
-            return
-        for line in self.path.read_text(encoding="utf-8").splitlines():
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                vec = TermVector(rec["term"], tuple(float(v) for v in rec["values"]))
-                if vec.dimension != rec["dim"]:
-                    continue
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-                # Truncated trailing record from a crash mid-append; ignore it.
-                continue
-            self._vectors[vec.term_surface] = vec
+        self._store = KeyedJsonl(path, _decode_vector)
 
     def get(self, term: str) -> TermVector | None:
-        with self._lock:
-            return self._vectors.get(term)
+        return self._store.get(term)
 
     def put_many(self, vectors: Iterable[TermVector]) -> None:
-        with self._lock:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with self.path.open("a", encoding="utf-8") as fh:
-                for vec in vectors:
-                    if vec.term_surface in self._vectors:
-                        continue
-                    self._vectors[vec.term_surface] = vec
-                    fh.write(
-                        json.dumps(
-                            {"term": vec.term_surface, "dim": vec.dimension, "values": list(vec.values)}
-                        )
-                        + "\n"
-                    )
+        self._store.put_many(
+            (v.term_surface, v, {"term": v.term_surface, "dim": v.dimension, "values": list(v.values)})
+            for v in vectors
+        )
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._vectors)
+        return len(self._store)
 
 
 class EmbeddingProvider:
@@ -258,22 +233,14 @@ class RemoteEmbeddingProvider(EmbeddingProvider):
         super()._validate(batch, fetched)
 
     def _fetch(self, batch: list[str]) -> dict[str, TermVector]:
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
+        def parse(reply) -> dict[str, TermVector]:
+            return {
+                term: TermVector(term, tuple(float(v) for v in item["embedding"]))
+                for term, item in zip(batch, reply["data"], strict=True)
+            }
+
         body = {"model": self.model_name, "input": batch}
-        last_error: Exception | None = None
-        for attempt in range(self.retries + 1):
-            try:
-                resp = self._post(self.endpoint, json=body, headers=headers, timeout=self.timeout)
-                resp.raise_for_status()
-                data = resp.json()["data"]
-                return {
-                    term: TermVector(term, tuple(float(v) for v in item["embedding"]))
-                    for term, item in zip(batch, data, strict=True)
-                }
-            except (requests.RequestException, KeyError, ValueError) as exc:
-                last_error = exc
-                if attempt < self.retries:
-                    time.sleep(min(2.0**attempt * 0.1, 2.0))
-        raise RemoteUnavailable(f"embedding endpoint failed after {self.retries + 1} attempts: {last_error}")
+        return post_with_retries(
+            self._post, self.endpoint, body, parse, api_key=self.api_key, timeout=self.timeout,
+            retries=self.retries, unavailable=RemoteUnavailable, what="embedding endpoint",
+        )

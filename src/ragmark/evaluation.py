@@ -9,7 +9,6 @@ inside the normalized generation.
 
 from __future__ import annotations
 
-import json
 import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -20,10 +19,10 @@ from .errors import (
     DuplicateId,
     MalformedRecord,
     MissingChoices,
-    MissingField,
     UnknownTemplate,
 )
 from .highlight import HighlightedDocument
+from .jsonl import read_records, require
 from .stepback import ChatClient
 
 TASKS = ("mcq", "claim-verification", "factoid")
@@ -91,34 +90,28 @@ def load_dataset(path: str | Path, task: str | None = None) -> list[EvalRecord]:
     """Load a benchmark: JSONL of {"query_id","task","question","choices"?,"gold"}."""
     records: list[EvalRecord] = []
     seen: set[str] = set()
-    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise MalformedRecord(f"line {line_no}: {exc}", line_no) from exc
-        for fld in ("query_id", "task", "question", "gold"):
-            if fld not in obj:
-                raise MissingField(f"line {line_no}: missing field {fld!r}", line_no)
-        rec_task = obj["task"]
+    for line_no, obj in read_records(path):
+        qid = str(require(obj, "query_id", line_no))
+        rec_task = require(obj, "task", line_no)
+        question = str(require(obj, "question", line_no))
+        gold = [str(g) for g in require(obj, "gold", line_no, list)]
         if task is not None and rec_task != task:
             raise MalformedRecord(
                 f"line {line_no}: task {rec_task!r} does not match expected {task!r}", line_no
             )
         if rec_task not in TASKS:
             raise MalformedRecord(f"line {line_no}: unknown task {rec_task!r}", line_no)
-        qid = str(obj["query_id"])
         if qid in seen:
             raise DuplicateId(f"line {line_no}: duplicate query_id {qid!r}")
         seen.add(qid)
-        gold = [str(g) for g in obj["gold"]]
         if not gold:
             raise MalformedRecord(f"line {line_no}: empty gold set", line_no)
         choices = obj.get("choices")
         if rec_task == "mcq":
             if not choices:
                 raise MissingChoices(f"line {line_no}: mcq record without choices", line_no)
+            if not isinstance(choices, dict):
+                raise MalformedRecord(f"line {line_no}: choices must be an object", line_no)
             choices = {str(k): str(v) for k, v in choices.items()}
         elif choices:
             raise MalformedRecord(f"line {line_no}: choices on non-mcq record", line_no)
@@ -132,7 +125,7 @@ def load_dataset(path: str | Path, task: str | None = None) -> list[EvalRecord]:
             EvalRecord(
                 query_id=qid,
                 task=rec_task,
-                question=str(obj["question"]),
+                question=question,
                 gold=frozenset(gold),
                 choices=choices,
             )

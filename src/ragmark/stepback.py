@@ -12,10 +12,7 @@ a write-through JSONL reply cache usable around either.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
-import threading
-import time
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -24,7 +21,8 @@ from typing import Callable, Protocol
 import requests
 
 from .errors import EmptyReply, LlmUnavailable
-from .jsonl import repair_tail
+from .jsonl import KeyedJsonl
+from .remote import post_with_retries
 from .text import Term, extract_terms
 
 STEPBACK_QUESTION_TEMPLATE = """You are an expert at world knowledge. Your task is to step back and paraphrase a question to a more generic step-back question, which is easier to answer. Here are a few examples:
@@ -96,73 +94,43 @@ class HttpChatClient:
         }
 
     def complete(self, prompt: str) -> str:
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        last_error: Exception | None = None
-        for attempt in range(self.config.retries + 1):
-            try:
-                resp = self._post(
-                    self.config.endpoint,
-                    json=self.request_body(prompt),
-                    headers=headers,
-                    timeout=self.config.timeout,
-                )
-                resp.raise_for_status()
-                content = resp.json()["choices"][0]["message"]["content"]
-            except (requests.RequestException, KeyError, IndexError, ValueError) as exc:
-                last_error = exc
-                if attempt < self.config.retries:
-                    time.sleep(min(2.0**attempt * 0.1, 2.0))
-                continue
-            if not isinstance(content, str):  # e.g. `null`: an answer, so no retry
-                raise EmptyReply(f"chat endpoint returned {type(content).__name__} content, not text")
-            return content
-        raise LlmUnavailable(
-            f"chat endpoint failed after {self.config.retries + 1} attempts: {last_error}"
+        cfg = self.config
+        return post_with_retries(
+            self._post, cfg.endpoint, self.request_body(prompt), _first_choice_text, api_key=self.api_key,
+            timeout=cfg.timeout, retries=cfg.retries, unavailable=LlmUnavailable, what="chat endpoint",
         )
+
+
+def _first_choice_text(reply) -> str:
+    content = reply["choices"][0]["message"]["content"]
+    if not isinstance(content, str):  # e.g. `null`: an answer, so no retry
+        raise EmptyReply(f"chat endpoint returned {type(content).__name__} content, not text")
+    return content
 
 
 def _prompt_hash(model: str, prompt: str) -> str:
     return hashlib.sha256(f"{model}\x00{prompt}".encode("utf-8")).hexdigest()
 
 
+def _decode_reply(rec: dict) -> tuple[str, str]:
+    if not isinstance(rec["reply"], str):
+        raise TypeError("reply is not text")
+    return rec["prompt_hash"], rec["reply"]
+
+
 class ReplyCache:
     """Append-only JSONL of {model, prompt_hash, prompt, reply}, keyed in memory."""
 
     def __init__(self, path: str | Path):
-        self.path = Path(path)
-        self._lock = threading.Lock()
-        self._replies: dict[str, str] = {}
-        repair_tail(self.path)
-        if self.path.exists():
-            for line in self.path.read_text(encoding="utf-8").splitlines():
-                if not line.strip():
-                    continue
-                try:
-                    rec = json.loads(line)
-                    self._replies[rec["prompt_hash"]] = rec["reply"]
-                except (json.JSONDecodeError, KeyError):
-                    continue
+        self._store = KeyedJsonl(path, _decode_reply)
 
     def get(self, model: str, prompt: str) -> str | None:
-        with self._lock:
-            return self._replies.get(_prompt_hash(model, prompt))
+        return self._store.get(_prompt_hash(model, prompt))
 
     def put(self, model: str, prompt: str, reply: str) -> None:
         key = _prompt_hash(model, prompt)
-        with self._lock:
-            if key in self._replies:
-                return
-            self._replies[key] = reply
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with self.path.open("a", encoding="utf-8") as fh:
-                fh.write(
-                    json.dumps(
-                        {"model": model, "prompt_hash": key, "prompt": prompt, "reply": reply}
-                    )
-                    + "\n"
-                )
+        record = {"model": model, "prompt_hash": key, "prompt": prompt, "reply": reply}
+        self._store.put_many([(key, reply, record)])
 
 
 class CachingChatClient:

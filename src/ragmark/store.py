@@ -8,14 +8,14 @@ pipeline is retrieval-agnostic.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
 
-from .errors import DuplicateId, EmptyIndex, MalformedRecord, MissingField
+from .errors import DuplicateId, EmptyIndex, MalformedRecord
+from .jsonl import read_records, require
 from .text import STOPWORDS, SentenceSpan, extract_terms, split_sentences, word_surfaces
 
 
@@ -108,30 +108,28 @@ def build_index(passages: list[Passage], params: Bm25Params = Bm25Params()) -> B
     return Bm25Index(passages, params)
 
 
-def _require(obj: dict, field: str, line_no: int):
-    if field not in obj:
-        raise MissingField(f"line {line_no}: missing field {field!r}", line_no)
-    return obj[field]
+def _passage(entry: dict, line_no: int, rank: int | None = None) -> Passage:
+    """A Passage from a KB line or, given its `rank`, from a precomputed result entry."""
+    pid = str(require(entry, "id", line_no))
+    title = str(require(entry, "title", line_no))
+    text = str(require(entry, "text", line_no))
+    source = "kb" if rank is None else str(entry.get("source", "kb"))
+    try:
+        return Passage(pid, title, text, source, rank)
+    except ValueError as exc:
+        raise MalformedRecord(f"line {line_no}: {exc}", line_no) from exc
 
 
 def load_passages(path: str | Path) -> list[Passage]:
     """Load a KB file: JSONL of {"id", "title", "text"}."""
     passages = []
     seen: set[str] = set()
-    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise MalformedRecord(f"line {line_no}: {exc}", line_no) from exc
-        pid = str(_require(obj, "id", line_no))
-        if pid in seen:
-            raise DuplicateId(f"line {line_no}: duplicate passage id {pid!r}")
-        seen.add(pid)
-        passages.append(
-            Passage(id=pid, title=str(_require(obj, "title", line_no)), text=str(_require(obj, "text", line_no)))
-        )
+    for line_no, obj in read_records(path):
+        passage = _passage(obj, line_no)
+        if passage.id in seen:
+            raise DuplicateId(f"line {line_no}: duplicate passage id {passage.id!r}")
+        seen.add(passage.id)
+        passages.append(passage)
     return passages
 
 
@@ -142,27 +140,10 @@ def load_precomputed_results(path: str | Path) -> dict[str, list[Passage]]:
     in rank order; file order is preserved as the rank order.
     """
     results: dict[str, list[Passage]] = {}
-    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise MalformedRecord(f"line {line_no}: {exc}", line_no) from exc
-        qid = str(_require(obj, "query_id", line_no))
-        raw = _require(obj, "passages", line_no)
-        passages = []
-        for rank, entry in enumerate(raw, 1):
-            passages.append(
-                Passage(
-                    id=str(_require(entry, "id", line_no)),
-                    title=str(_require(entry, "title", line_no)),
-                    text=str(_require(entry, "text", line_no)),
-                    source=str(entry.get("source", "kb")),
-                    rank=rank,
-                )
-            )
-        results[qid] = passages
+    for line_no, obj in read_records(path):
+        qid = str(require(obj, "query_id", line_no))
+        entries = require(obj, "passages", line_no, list)
+        results[qid] = [_passage(entry, line_no, rank) for rank, entry in enumerate(entries, 1)]
     return results
 
 

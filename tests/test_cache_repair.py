@@ -1,8 +1,10 @@
 """A crash mid-append must not cost the records appended after it."""
 
+import json
+
 from ragmark.embeddings import OfflineEmbeddingProvider, VectorCache
 from ragmark.jsonl import repair_tail
-from ragmark.stepback import ReplyCache
+from ragmark.stepback import ReplyCache, _prompt_hash
 
 
 def test_vector_cache_keeps_records_appended_after_a_torn_tail(tmp_path):
@@ -47,3 +49,25 @@ def test_repair_tail_cuts_a_partial_line_and_keeps_a_whole_one(tmp_path):
     missing = tmp_path / "missing.jsonl"
     repair_tail(missing)
     assert not missing.exists()
+
+
+def test_both_caches_skip_lines_that_are_not_their_records(tmp_path):
+    foreign = ["[1]", '"x"']
+    vectors = tmp_path / "vectors.jsonl"
+    good = [json.dumps({"term": t, "dim": 2, "values": [1.0, 0.0]}) for t in ("desert", "night")]
+    stray_reply = json.dumps({"prompt_hash": "h", "reply": None})
+    vectors.write_text("\n".join([good[0], *foreign, stray_reply, good[1]]) + "\n")
+    cache = VectorCache(vectors)
+    assert len(cache) == 2
+    assert cache.get("desert").values == (1.0, 0.0)
+    assert cache.get("night") is not None
+
+    replies = tmp_path / "replies.jsonl"
+    null_reply = json.dumps({"prompt_hash": _prompt_hash("m", "p"), "reply": None})
+    kept = json.dumps({"model": "m", "prompt_hash": _prompt_hash("m", "q"), "prompt": "q", "reply": "kept"})
+    replies.write_text("\n".join([*foreign, stray_reply, null_reply, kept]) + "\n")
+    cache = ReplyCache(replies)
+    assert cache.get("m", "q") == "kept"
+    assert cache.get("m", "p") is None
+    cache.put("m", "p", "late")  # the null line held no reply, so this one is stored
+    assert ReplyCache(replies).get("m", "p") == "late"

@@ -228,3 +228,15 @@ class TestCmdSweep:
         RunConfig(dataset_path="x").save(cfg_path)
         result = runner.invoke(main, ["sweep", "--config", str(cfg_path), "--k-values", "a,b"])
         assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("command", [["eval"], ["sweep", "--k-values", "1,2"]])
+@pytest.mark.parametrize(
+    "setting", [{"retrieval": "quantum"}, {"highlighting": False, "context_mode": "evidence-only"}]
+)
+def test_invalid_setting_in_config_is_config_error(runner, tmp_path, command, setting):
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps({"dataset_path": str(tmp_path / "dataset.jsonl"), **setting}))
+    result = runner.invoke(main, [command[0], "--config", str(cfg_path), *command[1:]])
+    assert result.exit_code == 2, result.output
+    assert "config error: " in result.output
