@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -43,6 +44,20 @@ def _load_config(config_path: str | None, **overrides) -> RunConfig:
     except (OSError, ValueError, TypeError, json.JSONDecodeError) as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(EXIT_CONFIG_ERROR)
+
+
+def _baseline_accuracy(baseline_path: str) -> float:
+    """The `accuracy` of a prior report.json; a config error if the file does not hold one."""
+    try:
+        base = json.loads(Path(baseline_path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        click.echo(f"config error: baseline {baseline_path}: {exc}", err=True)
+        sys.exit(EXIT_CONFIG_ERROR)
+    accuracy = base.get("accuracy") if isinstance(base, dict) else None
+    if type(accuracy) not in (int, float) or not math.isfinite(accuracy):  # bool is not a number here
+        click.echo(f"config error: baseline {baseline_path} has no numeric accuracy", err=True)
+        sys.exit(EXIT_CONFIG_ERROR)
+    return float(accuracy)
 
 
 def _chat_client(cfg: RunConfig, model_name: str) -> ChatClient | None:
@@ -180,15 +195,13 @@ def cmd_eval(config_path: str, baseline_path: str | None) -> None:
     if not cfg.dataset_path:
         click.echo("config error: eval needs dataset_path", err=True)
         sys.exit(EXIT_CONFIG_ERROR)
+    baseline = (
+        RunReport(setting=_setting(cfg), outcomes=(), accuracy=_baseline_accuracy(baseline_path))
+        if baseline_path else None
+    )
     try:
         records = load_dataset(cfg.dataset_path)
         handles = _handles(cfg)
-        baseline = None
-        if baseline_path:
-            base = json.loads(Path(baseline_path).read_text(encoding="utf-8"))
-            baseline = RunReport(
-                setting=_setting(cfg), outcomes=(), accuracy=float(base["accuracy"])
-            )
         report = run_setting(records, _setting(cfg), handles, baseline=baseline)
         _write_report(report, Path(cfg.output_dir), cfg)
         line = f"accuracy: {report.accuracy:.2f} over {len(report.outcomes)} records"

@@ -8,15 +8,18 @@ Two providers share one interface:
   term surface, so the whole test suite runs with no network and identical
   vectors on every machine.
 
-Vectors are cached in an append-only JSONL file. A torn last line (crash
-mid-write) is repaired on open, so later appends start on a fresh line, and
-any other corrupt record is skipped on load.
+Vectors are cached in an append-only JSONL file, one record per term with
+the exact float64 bits in base64. A torn last line (crash mid-write) is
+repaired on open, so later appends start on a fresh line, and any other
+corrupt record is skipped on load.
 """
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import os
+import struct
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -86,15 +89,32 @@ class ProviderConfig:
         )
 
 
+def _encode_vector(vec: TermVector) -> dict:
+    raw = struct.pack(f"<{vec.dimension}d", *vec.values)
+    return {"term": vec.term_surface, "dim": vec.dimension, "f64": base64.b64encode(raw).decode("ascii")}
+
+
 def _decode_vector(rec: dict) -> tuple[str, TermVector]:
-    vec = TermVector(rec["term"], tuple(float(v) for v in rec["values"]))
+    """Read an `f64` record, or one written before it with a decimal `values` list."""
+    if "f64" in rec:
+        raw = base64.b64decode(rec["f64"], validate=True)
+        if len(raw) % 8:
+            raise ValueError("f64 is not a whole number of float64 values")
+        values = struct.unpack(f"<{len(raw) // 8}d", raw)
+    else:
+        values = tuple(float(v) for v in rec["values"])
+    vec = TermVector(rec["term"], values)
     if vec.dimension != rec["dim"]:
         raise ValueError("dim does not match the values")
     return vec.term_surface, vec
 
 
 class VectorCache:
-    """Append-only JSONL store of (term, dim, values) records, term-keyed in memory."""
+    """Append-only JSONL store of {"term", "dim", "f64"} records, term-keyed in memory.
+
+    `f64` is the base64 of `dim` little-endian float64 values, so a reload gives
+    back every vector bit for bit.
+    """
 
     def __init__(self, path: str | Path):
         self._store = KeyedJsonl(path, _decode_vector)
@@ -103,10 +123,7 @@ class VectorCache:
         return self._store.get(term)
 
     def put_many(self, vectors: Iterable[TermVector]) -> None:
-        self._store.put_many(
-            (v.term_surface, v, {"term": v.term_surface, "dim": v.dimension, "values": list(v.values)})
-            for v in vectors
-        )
+        self._store.put_many((v.term_surface, v, _encode_vector(v)) for v in vectors)
 
     def __len__(self) -> int:
         return len(self._store)
@@ -192,7 +209,7 @@ class OfflineEmbeddingProvider(EmbeddingProvider):
         rng = np.random.default_rng(int.from_bytes(digest[:8], "big"))
         values = rng.standard_normal(self._dimension)
         values /= np.linalg.norm(values)
-        return TermVector(term, tuple(float(v) for v in values))
+        return TermVector(term, tuple(values.tolist()))
 
     def _fetch(self, batch: list[str]) -> dict[str, TermVector]:
         return {t: self._vector_for(t) for t in batch}

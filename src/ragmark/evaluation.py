@@ -22,7 +22,7 @@ from .errors import (
     UnknownTemplate,
 )
 from .highlight import HighlightedDocument
-from .jsonl import read_records, require
+from .jsonl import TEXT, as_text, read_records, require
 from .stepback import ChatClient
 
 TASKS = ("mcq", "claim-verification", "factoid")
@@ -91,10 +91,10 @@ def load_dataset(path: str | Path, task: str | None = None) -> list[EvalRecord]:
     records: list[EvalRecord] = []
     seen: set[str] = set()
     for line_no, obj in read_records(path):
-        qid = str(require(obj, "query_id", line_no))
+        qid = str(require(obj, "query_id", line_no, TEXT))
         rec_task = require(obj, "task", line_no)
-        question = str(require(obj, "question", line_no))
-        gold = [str(g) for g in require(obj, "gold", line_no, list)]
+        question = str(require(obj, "question", line_no, TEXT))
+        gold = [as_text(g, "gold", line_no) for g in require(obj, "gold", line_no, list)]
         if task is not None and rec_task != task:
             raise MalformedRecord(
                 f"line {line_no}: task {rec_task!r} does not match expected {task!r}", line_no
@@ -112,7 +112,7 @@ def load_dataset(path: str | Path, task: str | None = None) -> list[EvalRecord]:
                 raise MissingChoices(f"line {line_no}: mcq record without choices", line_no)
             if not isinstance(choices, dict):
                 raise MalformedRecord(f"line {line_no}: choices must be an object", line_no)
-            choices = {str(k): str(v) for k, v in choices.items()}
+            choices = {k: as_text(v, "choices", line_no) for k, v in choices.items()}
         elif choices:
             raise MalformedRecord(f"line {line_no}: choices on non-mcq record", line_no)
         if rec_task == "claim-verification":

@@ -56,7 +56,7 @@ def read_records(path: str | Path) -> Iterator[tuple[int, Any]]:
                 raise MalformedRecord(f"line {line_no}: {exc}", line_no) from exc
 
 
-def require(obj: Any, field: str, line_no: int, kind: type = object) -> Any:
+def require(obj: Any, field: str, line_no: int, kind: type | tuple[type, ...] = object) -> Any:
     """`obj[field]`: `MissingField` if absent, `MalformedRecord` if `obj` or the value is mistyped."""
     if not isinstance(obj, dict):
         raise MalformedRecord(f"line {line_no}: expected a JSON object, got {type(obj).__name__}", line_no)
@@ -64,8 +64,25 @@ def require(obj: Any, field: str, line_no: int, kind: type = object) -> Any:
         raise MissingField(f"line {line_no}: missing field {field!r}", line_no)
     value = obj[field]
     if not isinstance(value, kind):
-        raise MalformedRecord(f"line {line_no}: field {field!r} must be a {kind.__name__}", line_no)
+        raise _mistyped(field, value, line_no, kind)
     return value
+
+
+# The kind of a text field: a string, or a number read as its text. A null, a list or an
+# object is rejected, where `str()` would load it as its Python repr ("None").
+TEXT = (str, int, float)
+
+
+def as_text(value: Any, field: str, line_no: int) -> str:
+    """`value`, a gold entry, a choice or another text value not checked by `require`, as text."""
+    if not isinstance(value, TEXT):
+        raise _mistyped(field, value, line_no, TEXT)
+    return str(value)
+
+
+def _mistyped(field: str, value: Any, line_no: int, kind: type | tuple[type, ...]) -> MalformedRecord:
+    what = f"text, not {json.dumps(value)[:40]}" if kind is TEXT else f"a {kind.__name__}"
+    return MalformedRecord(f"line {line_no}: field {field!r} must be {what}", line_no)
 
 
 class KeyedJsonl:

@@ -15,7 +15,7 @@ from itertools import islice
 from pathlib import Path
 
 from .errors import DuplicateId, EmptyIndex, MalformedRecord
-from .jsonl import read_records, require
+from .jsonl import TEXT, as_text, read_records, require
 from .text import STOPWORDS, SentenceSpan, extract_terms, split_sentences, word_surfaces
 
 
@@ -110,10 +110,10 @@ def build_index(passages: list[Passage], params: Bm25Params = Bm25Params()) -> B
 
 def _passage(entry: dict, line_no: int, rank: int | None = None) -> Passage:
     """A Passage from a KB line or, given its `rank`, from a precomputed result entry."""
-    pid = str(require(entry, "id", line_no))
-    title = str(require(entry, "title", line_no))
-    text = str(require(entry, "text", line_no))
-    source = "kb" if rank is None else str(entry.get("source", "kb"))
+    pid = str(require(entry, "id", line_no, TEXT))
+    title = str(require(entry, "title", line_no, TEXT))
+    text = str(require(entry, "text", line_no, TEXT))
+    source = "kb" if rank is None else as_text(entry.get("source", "kb"), "source", line_no)
     try:
         return Passage(pid, title, text, source, rank)
     except ValueError as exc:
@@ -141,7 +141,7 @@ def load_precomputed_results(path: str | Path) -> dict[str, list[Passage]]:
     """
     results: dict[str, list[Passage]] = {}
     for line_no, obj in read_records(path):
-        qid = str(require(obj, "query_id", line_no))
+        qid = str(require(obj, "query_id", line_no, TEXT))
         entries = require(obj, "passages", line_no, list)
         results[qid] = [_passage(entry, line_no, rank) for rank, entry in enumerate(entries, 1)]
     return results

@@ -6,6 +6,7 @@ double loops and the textbook BM25 formula, written once and never optimized.
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -112,3 +113,17 @@ def reference_normalize(raw: str) -> str | None:
 def reference_surfaces(text: str) -> list[str]:
     """`reference_normalize` of each whitespace-split word, empty ones dropped."""
     return [s for s in map(reference_normalize, text.split()) if s is not None]
+
+
+def values_record(term: str, values: tuple[float, ...]) -> str:
+    """A vector cache line in the first format, the floats as a decimal `values` list."""
+    return json.dumps({"term": term, "dim": len(values), "values": list(values)})
+
+
+def decode_values_record(line: str) -> tuple[str, tuple[float, ...]]:
+    """(term, values) of a `values_record` line, read as the cache read it before `f64`."""
+    rec = json.loads(line)
+    values = tuple(float(v) for v in rec["values"])
+    if len(values) != rec["dim"]:
+        raise ValueError("dim does not match the values")
+    return rec["term"], values

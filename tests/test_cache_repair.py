@@ -1,6 +1,11 @@
 """A crash mid-append must not cost the records appended after it."""
 
 import json
+import tempfile
+from pathlib import Path
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ragmark.embeddings import OfflineEmbeddingProvider, VectorCache
 from ragmark.jsonl import repair_tail
@@ -71,3 +76,27 @@ def test_both_caches_skip_lines_that_are_not_their_records(tmp_path):
     assert cache.get("m", "p") is None
     cache.put("m", "p", "late")  # the null line held no reply, so this one is stored
     assert ReplyCache(replies).get("m", "p") == "late"
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.lists(st.text(min_size=1, max_size=6), min_size=2, max_size=4, unique=True), st.text(min_size=1, max_size=6))
+def test_vector_cache_cut_anywhere_in_its_last_record_keeps_the_earlier_ones(terms, later):
+    assume(later not in terms)
+    expected = OfflineEmbeddingProvider(dimension=4).embed_terms([*terms, later])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "vectors.jsonl"
+        OfflineEmbeddingProvider(dimension=4, cache=VectorCache(path)).embed_terms(terms)
+        data = path.read_bytes()
+        start = data.rstrip(b"\n").rfind(b"\n") + 1
+        last = json.loads(data[start:])["term"]
+        earlier = [t for t in terms if t != last]
+        for cut in range(start, len(data)):
+            path.write_bytes(data[:cut])
+            cache = VectorCache(path)
+            assert {t: cache.get(t) for t in earlier} == {t: expected[t] for t in earlier}
+            # Only a cut of the newline alone leaves the last record whole.
+            assert (cache.get(last) is not None) == (cut == len(data) - 1)
+            OfflineEmbeddingProvider(dimension=4, cache=cache).embed_terms([last, later])
+            reloaded = VectorCache(path)
+            assert len(reloaded) == len(terms) + 1
+            assert {t: reloaded.get(t) for t in [*terms, later]} == expected

@@ -240,3 +240,40 @@ def test_invalid_setting_in_config_is_config_error(runner, tmp_path, command, se
     result = runner.invoke(main, [command[0], "--config", str(cfg_path), *command[1:]])
     assert result.exit_code == 2, result.output
     assert "config error: " in result.output
+
+
+class TestEvalBaseline:
+    @pytest.fixture
+    def cfg_path(self, tmp_path, kb_file):
+        dataset = tmp_path / "dataset.jsonl"
+        dataset.write_text(json.dumps({"query_id": "q0", "task": "factoid", "question": "What?", "gold": ["water"]}) + "\n")
+        cache_path = tmp_path / "replies.jsonl"
+        ReplyCache(cache_path)  # empty: the record fails, the run completes
+        path = tmp_path / "c.json"
+        RunConfig(
+            retrieval="bm25", highlighting=False, stepback=False, kb_path=str(kb_file),
+            dataset_path=str(dataset), reply_cache_path=str(cache_path), output_dir=str(tmp_path / "run"),
+        ).save(path)
+        return path
+
+    @pytest.mark.parametrize(
+        "content",
+        ["not json", "", "[50.0]", "50.0", "{}", '{"accuracy": null}', '{"accuracy": "high"}',
+         '{"accuracy": true}', '{"accuracy": NaN}'],
+    )
+    def test_baseline_without_a_numeric_accuracy_is_config_error(self, runner, tmp_path, cfg_path, content):
+        baseline = tmp_path / "base.json"
+        baseline.write_text(content, encoding="utf-8")
+        result = runner.invoke(main, ["eval", "--config", str(cfg_path), "--baseline", str(baseline)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "config error: baseline " in result.output
+
+    def test_numeric_baseline_gives_a_relative_change(self, runner, tmp_path, cfg_path):
+        baseline = tmp_path / "base.json"
+        baseline.write_text('{"accuracy": 50}', encoding="utf-8")
+        result = runner.invoke(main, ["eval", "--config", str(cfg_path), "--baseline", str(baseline)])
+        assert result.exit_code == 0, result.output
+        report = json.loads((tmp_path / "run" / "report.json").read_text())
+        assert report["baseline_accuracy"] == 50.0
+        assert report["relative_change"] == -100.0

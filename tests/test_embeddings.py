@@ -1,4 +1,6 @@
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -105,6 +107,38 @@ class TestVectorCache:
         cache = VectorCache(path)
         assert len(cache) == 1
         assert cache.get("desert") is not None
+
+    def test_concurrent_embed_terms_store_each_term_once(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        provider = OfflineEmbeddingProvider(dimension=16, cache=VectorCache(path), batch_size=3)
+        words = [f"w{i}" for i in range(24)]
+        term_sets = [words[i * 4 : i * 4 + 12] for i in range(4)]  # each shares 8 terms with a neighbour
+        start = threading.Barrier(len(term_sets))
+        results: dict[int, dict] = {}
+
+        def embed(i: int) -> None:
+            start.wait(timeout=30)
+            for _ in range(3):
+                results[i] = provider.embed_terms(term_sets[i])
+
+        threads = [threading.Thread(target=embed, args=(i,)) for i in range(len(term_sets))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, between the cache check and the append
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+
+        stored = [json.loads(line)["term"] for line in path.read_text(encoding="utf-8").splitlines()]
+        assert sorted(stored) == sorted(set().union(*term_sets))
+        uncached = OfflineEmbeddingProvider(dimension=16)
+        for i, terms in enumerate(term_sets):
+            assert results[i] == uncached.embed_terms(terms)
+        assert len(VectorCache(path)) == len(stored)
 
 
 class FakeResponse:

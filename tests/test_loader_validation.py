@@ -74,3 +74,52 @@ def test_gold_that_is_not_a_list(gold, tmp_path):
 def test_choices_that_are_not_an_object(choices, tmp_path):
     bad = {"query_id": "q2", "task": "mcq", "question": "Q?", "gold": ["A"], "choices": choices}
     assert "choices" in raises_on_line_2(load_dataset, tmp_path, GOOD_RECORD, bad)
+
+
+# null (and a list or an object) where text belongs used to load as the text "None".
+@pytest.mark.parametrize("field", ["id", "title", "text"])
+def test_passage_text_field_that_is_null(field, tmp_path):
+    bad = {**GOOD_PASSAGE, "id": "p2", field: None}
+    message = raises_on_line_2(load_passages, tmp_path, GOOD_PASSAGE, bad)
+    assert f"field {field!r}" in message and "null" in message
+    result = {"query_id": "q2", "passages": [bad]}
+    assert f"field {field!r}" in raises_on_line_2(load_precomputed_results, tmp_path, GOOD_RESULT, result)
+
+
+@pytest.mark.parametrize(
+    "field, bad",
+    [
+        ("query_id", {"query_id": None, "passages": [GOOD_PASSAGE]}),
+        ("source", {"query_id": "q2", "passages": [{**GOOD_PASSAGE, "source": None}]}),
+        ("title", {"query_id": "q2", "passages": [{**GOOD_PASSAGE, "title": ["Deserts"]}]}),
+    ],
+    ids=["query_id", "source", "title-list"],
+)
+def test_result_text_field_that_is_not_text(field, bad, tmp_path):
+    assert f"field {field!r}" in raises_on_line_2(load_precomputed_results, tmp_path, GOOD_RESULT, bad)
+
+
+@pytest.mark.parametrize(
+    "field, bad",
+    [
+        ("query_id", {**GOOD_RECORD, "query_id": None}),
+        ("question", {**GOOD_RECORD, "query_id": "q2", "question": None}),
+        ("gold", {**GOOD_RECORD, "query_id": "q2", "gold": [None]}),
+        ("gold", {**GOOD_RECORD, "query_id": "q2", "gold": ["water", {"w": 1}]}),
+        ("choices", {"query_id": "q2", "task": "mcq", "question": "Q?", "gold": ["A"], "choices": {"A": None}}),
+    ],
+    ids=["query_id", "question", "gold", "gold-object", "choices"],
+)
+def test_dataset_text_field_that_is_not_text(field, bad, tmp_path):
+    assert f"field {field!r}" in raises_on_line_2(load_dataset, tmp_path, GOOD_RECORD, bad)
+
+
+def test_numbers_still_load_as_their_text(tmp_path):
+    kb = tmp_path / "kb.jsonl"
+    kb.write_text(json.dumps({"id": 7, "title": 1.5, "text": 42}) + "\n", encoding="utf-8")
+    assert [(p.id, p.title, p.text) for p in load_passages(kb)] == [("7", "1.5", "42")]
+    dataset = tmp_path / "dataset.jsonl"
+    dataset.write_text(json.dumps({**GOOD_RECORD, "question": 12, "gold": [3, "water"]}) + "\n", encoding="utf-8")
+    [record] = load_dataset(dataset)
+    assert record.question == "12"
+    assert record.gold == frozenset({"3", "water"})
