@@ -8,20 +8,20 @@ once any selected evidence term exceeds a similarity threshold M.
 All scoring goes through `MaxSimScorer`, which takes the cosines of one set
 of terms against a sentence pool as a single matrix product and reduces it
 to a term x sentence MaxSim matrix. A chain's rankings are then row sums of
-that matrix.
+that matrix, and its coverage a running max over the columns it selected.
+The vectors are gathered by row index from the provider's `VectorTable`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 # `cosine` stays importable from here as the scalar definition the matrix reproduces.
-from .embeddings import TermVector, cosine  # noqa: F401
-from .errors import DimensionMismatch, MissingVector, ZeroVector
+from .embeddings import TermVector, VectorView, cosine  # noqa: F401
+from .errors import ZeroVector
 from .text import SentenceSpan, Term, content_surfaces
 
 
@@ -39,13 +39,6 @@ class CoverageState:
     threshold: float
 
 
-def _vector(surface: str, vectors: Mapping[str, TermVector]) -> TermVector:
-    try:
-        return vectors[surface]
-    except KeyError:
-        raise MissingVector(f"no embedding for term {surface!r}") from None
-
-
 def _cosine_matrix(
     rows: Sequence[str], cols: Sequence[str], vectors: Mapping[str, TermVector]
 ) -> np.ndarray:
@@ -54,26 +47,19 @@ def _cosine_matrix(
     Raises what the pairwise `cosine` calls would: MissingVector for any row
     surface, and, when there is at least one pair, MissingVector for a column
     surface, DimensionMismatch for unequal dimensions and ZeroVector for a
-    zero vector.
+    zero vector. Rows and norms are gathered by index from the table behind
+    `vectors`; a plain mapping has the vectors of these surfaces copied into
+    one first.
     """
-    for s in rows:
-        _vector(s, vectors)
+    view = VectorView.of(vectors, [*rows, *cols])
     if not rows or not cols:
+        view.locate(rows)
         return np.zeros((len(rows), len(cols)))
-    surfaces = list(dict.fromkeys([*rows, *cols]))
-    vecs = [_vector(s, vectors) for s in surfaces]
-    dims = {v.dimension for v in vecs}
-    if len(dims) > 1:
-        raise DimensionMismatch(f"term vectors of dimensions {sorted(dims)}")
-    (dim,) = dims
-    values = chain.from_iterable(v.values for v in vecs)
-    m = np.fromiter(values, dtype=np.float64, count=len(vecs) * dim).reshape(len(vecs), dim)
-    norms = np.linalg.norm(m, axis=1)
-    if not norms.all():
+    data, norms, idx = view.gather([*rows, *cols])
+    if not norms[idx].all():
         raise ZeroVector("cosine undefined for the zero vector")
-    at = {s: i for i, s in enumerate(surfaces)}
-    r, c = [at[s] for s in rows], [at[s] for s in cols]
-    return np.clip((m[r] @ m[c].T) / np.outer(norms[r], norms[c]), -1.0, 1.0)
+    r, c = idx[: len(rows)], idx[len(rows) :]
+    return np.clip((data[r] @ data[c].T) / np.outer(norms[r], norms[c]), -1.0, 1.0)
 
 
 class MaxSimScorer:
@@ -180,17 +166,43 @@ class MaxSimScorer:
         > M for any M <= 1) or when its best cosine against an evidence
         content term is strictly greater than `threshold`.
         """
+        return RunningCoverage(self, query_surfaces, threshold).add(positions)
+
+
+class RunningCoverage:
+    """`MaxSimScorer.coverage` of one query by evidence that only grows, as a chain's does.
+
+    Each added pool position folds its column of the MaxSim matrix into a
+    running max per query surface, so a hop costs one column instead of a
+    gather over every selected sentence. `evidence` is the union of the added
+    sentences' content surfaces.
+    """
+
+    def __init__(self, scorer: MaxSimScorer, query_surfaces: Iterable[str], threshold: float):
         if not 0.0 < threshold <= 1.0:
             raise ValueError("threshold must be in (0, 1]")
-        query = frozenset(query_surfaces)
-        evidence_surfaces = set().union(*(self._surfaces[p] for p in positions))
-        covered = query & evidence_surfaces
-        rest = sorted(query - covered)
-        if rest and positions:
-            best = self._best[np.ix_(self._rows(rest), list(positions))].max(axis=1)
-            covered |= {s for s, b in zip(rest, best) if b > threshold}
-        covered = frozenset(covered)
-        return CoverageState(covered=covered, remainder=query - covered, threshold=threshold)
+        self._query = frozenset(query_surfaces)
+        self._threshold = threshold
+        self.evidence: set[str] = set()
+        self._scorer = scorer
+        # Only surfaces with a row can be covered by a cosine; the rest must be found verbatim.
+        self._rowed = sorted(s for s in self._query if s in scorer._row)
+        self._unrowed = self._query.difference(self._rowed)
+        self._rows = np.array([scorer._row[s] for s in self._rowed], dtype=np.intp)
+        self._best = np.zeros(len(self._rowed))
+
+    def add(self, positions: Iterable[int]) -> CoverageState:
+        """Add the sentences at `positions` to the evidence; the coverage of all added so far."""
+        scorer = self._scorer
+        positions = list(positions)
+        for p in positions:
+            self.evidence |= scorer._surfaces[p]
+            np.maximum(self._best, scorer._best[self._rows, p], out=self._best)
+        covered = self._query & self.evidence
+        if positions and self._unrowed - covered:
+            raise ValueError(f"term {min(self._unrowed - covered)!r} is not a row of this scorer")
+        covered = covered.union(s for s, b in zip(self._rowed, self._best) if b > self._threshold)
+        return CoverageState(covered=covered, remainder=self._query - covered, threshold=self._threshold)
 
 
 def align_score(

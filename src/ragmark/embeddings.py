@@ -8,10 +8,13 @@ Two providers share one interface:
   term surface, so the whole test suite runs with no network and identical
   vectors on every machine.
 
-Vectors are cached in an append-only JSONL file, one record per term with
-the exact float64 bits in base64. A torn last line (crash mid-write) is
-repaired on open, so later appends start on a fresh line, and any other
-corrupt record is skipped on load.
+In memory each vector is held once, as a float64 row of a `VectorTable`;
+`embed_terms` returns a `VectorView` over those rows, and a `TermVector` is
+built only when one is looked up. Vectors are cached in an append-only JSONL
+file, one record per term with the exact float64 bits in base64, which load
+straight into rows. A torn last line (crash mid-write) is repaired on open,
+so later appends start on a fresh line, and any other corrupt record is
+skipped on load.
 """
 
 from __future__ import annotations
@@ -23,12 +26,12 @@ import struct
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 import requests
 
-from .errors import DimensionMismatch, RemoteUnavailable, ZeroVector
+from .errors import DimensionMismatch, MissingVector, RemoteUnavailable, ZeroVector
 from .jsonl import KeyedJsonl
 from .remote import post_with_retries
 
@@ -89,41 +92,180 @@ class ProviderConfig:
         )
 
 
-def _encode_vector(vec: TermVector) -> dict:
+class _Rows:
+    """The vectors of one dimension as the rows of a growing float64 array, with the rows' norms.
+
+    Rows are only appended, and growing copies them into new arrays, so the
+    arrays `arrays()` returned stay valid for the rows they held. The norms of
+    the rows added since the last `arrays()` are computed there, as one
+    `np.linalg.norm(block, axis=1)`: the same floats a matrix of any other
+    rows holding them gives.
+    """
+
+    def __init__(self, dim: int):
+        self.dim = dim
+        self._lock = threading.Lock()
+        self._data = np.empty((16, dim))
+        self._norms = np.empty(16)
+        self._n = 0
+        self._normed = 0
+
+    def append(self, values: Sequence[float]) -> int:
+        with self._lock:
+            n = self._n
+            if n == len(self._data):
+                data, norms = np.empty((2 * n, self.dim)), np.empty(2 * n)
+                data[:n], norms[:n] = self._data, self._norms
+                self._data, self._norms = data, norms
+            self._data[n] = values
+            self._n = n + 1
+            return n
+
+    def row(self, i: int) -> np.ndarray:
+        return self._data[i]
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The row array and the norm array, every row's norm computed."""
+        with self._lock:
+            if self._normed < self._n:
+                block = self._data[self._normed : self._n]
+                self._norms[self._normed : self._n] = np.linalg.norm(block, axis=1)
+                self._normed = self._n
+            return self._data, self._norms
+
+
+def _term_vector(surface: str, at: tuple[_Rows, int]) -> TermVector:
+    rows, i = at
+    return TermVector(surface, tuple(rows.row(i).tolist()))
+
+
+class VectorTable:
+    """Term vectors held once each, as float64 rows: surface -> (rows of its dimension, row).
+
+    Storing a surface again points it at its new row. Vectors of a dimension
+    other than the rest's (a cache written with another model) get rows of
+    their own, so only a request that pairs them with the rest fails. Rows are
+    only appended, so readers take no lock; `lock` is held by a provider from
+    its check for missing surfaces until it has stored what it fetched.
+    """
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self._at: dict[str, tuple[_Rows, int]] = {}
+        self._by_dim: dict[int, _Rows] = {}
+
+    def __setitem__(self, surface: str, values: Sequence[float]) -> None:
+        rows = self._by_dim.get(len(values))
+        if rows is None:
+            rows = self._by_dim[len(values)] = _Rows(len(values))
+        self._at[surface] = (rows, rows.append(values))
+
+    def __contains__(self, surface: object) -> bool:
+        return surface in self._at
+
+    def __len__(self) -> int:
+        return len(self._at)
+
+    def get(self, surface: str) -> TermVector | None:
+        at = self._at.get(surface)
+        return None if at is None else _term_vector(surface, at)
+
+    def view(self, surfaces: Iterable[str]) -> VectorView:
+        return VectorView({s: self._at[s] for s in surfaces})
+
+
+class VectorView(Mapping[str, TermVector]):
+    """Read-only `Mapping[str, TermVector]` over some surfaces' rows of a `VectorTable`.
+
+    `gather` hands out the rows themselves; a `TermVector` is built only by
+    `__getitem__`.
+    """
+
+    def __init__(self, at: dict[str, tuple[_Rows, int]]):
+        self._at = at
+
+    @classmethod
+    def of(cls, vectors: Mapping[str, TermVector], surfaces: Iterable[str]) -> VectorView:
+        """`vectors` itself if it is a view, else the vectors it has for `surfaces` copied into a table."""
+        if isinstance(vectors, VectorView):
+            return vectors
+        table = VectorTable()
+        held = [s for s in dict.fromkeys(surfaces) if s in vectors]
+        for s in held:
+            table[s] = vectors[s].values
+        return table.view(held)
+
+    def __getitem__(self, surface: str) -> TermVector:
+        return _term_vector(surface, self._at[surface])
+
+    def __contains__(self, surface: object) -> bool:
+        return surface in self._at
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._at)
+
+    def __len__(self) -> int:
+        return len(self._at)
+
+    def locate(self, surfaces: Iterable[str]) -> list[tuple[_Rows, int]]:
+        """Where each surface's row is; MissingVector for the first surface without one."""
+        try:
+            return [self._at[s] for s in surfaces]
+        except KeyError as exc:
+            raise MissingVector(f"no embedding for term {exc.args[0]!r}") from None
+
+    def gather(self, surfaces: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(row array, norm array, index of each surface's row in them) for a non-empty `surfaces`.
+
+        MissingVector as `locate`; DimensionMismatch when the vectors do not all
+        have one dimension.
+        """
+        at = self.locate(surfaces)
+        blocks = {rows for rows, _ in at}
+        if len(blocks) > 1:
+            raise DimensionMismatch(f"term vectors of dimensions {sorted(b.dim for b in blocks)}")
+        data, norms = blocks.pop().arrays()
+        return data, norms, np.array([i for _, i in at], dtype=np.intp)
+
+
+def _encode_vector(vec: TermVector) -> tuple[str, np.ndarray, dict]:
+    """(term, row, record) of a vector: the record's `f64` and the row hold the same bytes."""
     raw = struct.pack(f"<{vec.dimension}d", *vec.values)
-    return {"term": vec.term_surface, "dim": vec.dimension, "f64": base64.b64encode(raw).decode("ascii")}
+    record = {"term": vec.term_surface, "dim": vec.dimension, "f64": base64.b64encode(raw).decode("ascii")}
+    return vec.term_surface, np.frombuffer(raw, dtype="<f8"), record
 
 
-def _decode_vector(rec: dict) -> tuple[str, TermVector]:
+def _decode_vector(rec: dict) -> tuple[str, np.ndarray]:
     """Read an `f64` record, or one written before it with a decimal `values` list."""
     if "f64" in rec:
         raw = base64.b64decode(rec["f64"], validate=True)
         if len(raw) % 8:
             raise ValueError("f64 is not a whole number of float64 values")
-        values = struct.unpack(f"<{len(raw) // 8}d", raw)
+        values = np.frombuffer(raw, dtype="<f8")
     else:
-        values = tuple(float(v) for v in rec["values"])
-    vec = TermVector(rec["term"], values)
-    if vec.dimension != rec["dim"]:
+        values = np.array([float(v) for v in rec["values"]], dtype=np.float64)
+    if len(values) != rec["dim"]:
         raise ValueError("dim does not match the values")
-    return vec.term_surface, vec
+    return rec["term"], values
 
 
 class VectorCache:
-    """Append-only JSONL store of {"term", "dim", "f64"} records, term-keyed in memory.
+    """Append-only JSONL store of {"term", "dim", "f64"} records, held in memory as a `VectorTable`.
 
     `f64` is the base64 of `dim` little-endian float64 values, so a reload gives
-    back every vector bit for bit.
+    back every vector bit for bit; each record is read with `np.frombuffer`
+    straight into a row of `table`.
     """
 
     def __init__(self, path: str | Path):
-        self._store = KeyedJsonl(path, _decode_vector)
+        self.table = VectorTable()
+        self._store = KeyedJsonl(path, _decode_vector, self.table)
 
     def get(self, term: str) -> TermVector | None:
         return self._store.get(term)
 
     def put_many(self, vectors: Iterable[TermVector]) -> None:
-        self._store.put_many((v.term_surface, v, _encode_vector(v)) for v in vectors)
+        self._store.put_many(_encode_vector(v) for v in vectors)
 
     def __len__(self) -> int:
         return len(self._store)
@@ -137,23 +279,24 @@ class EmbeddingProvider:
             raise ValueError("batch_size must be positive")
         self.cache = cache
         self.batch_size = batch_size
-        self._lock = threading.Lock()
+        self._lock = cache.table.lock if cache is not None else threading.Lock()
         self.fetch_count = 0  # terms actually fetched, for cache tests
 
-    def embed_terms(self, terms: Iterable[str]) -> dict[str, TermVector]:
-        unique = sorted({t for t in terms})
-        for t in unique:
-            if not t:
-                raise ValueError("cannot embed an empty term")
-        out: dict[str, TermVector] = {}
-        missing: list[str] = []
-        for t in unique:
-            cached = self.cache.get(t) if self.cache is not None else None
-            if cached is not None:
-                out[t] = cached
-            else:
-                missing.append(t)
+    def embed_terms(self, terms: Iterable[str]) -> Mapping[str, TermVector]:
+        """The vectors of the unique `terms`: a read-only view over the rows of the cache's table.
+
+        The check for terms the table lacks, their fetches and their stores
+        hold the table's lock throughout, so concurrent calls fetch each term
+        once. Without a cache every call fetches every term into a table of
+        its own.
+        """
+        wanted = set(terms)
+        if "" in wanted:
+            raise ValueError("cannot embed an empty term")
+        unique = sorted(wanted)
+        table = self.cache.table if self.cache is not None else VectorTable()
         with self._lock:
+            missing = [t for t in unique if t not in table]
             for i in range(0, len(missing), self.batch_size):
                 batch = missing[i : i + self.batch_size]
                 fetched = self._fetch(batch)
@@ -161,8 +304,10 @@ class EmbeddingProvider:
                 self._validate(batch, fetched)
                 if self.cache is not None:
                     self.cache.put_many(fetched[t] for t in batch)
-                out.update(fetched)
-        return out
+                else:
+                    for t in batch:
+                        table[t] = fetched[t].values
+        return table.view(unique)
 
     def _validate(self, batch: list[str], fetched: Mapping[str, TermVector]) -> None:
         dim = self.dimension

@@ -13,7 +13,7 @@ import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import (
     DuplicateId,
@@ -24,6 +24,11 @@ from .errors import (
 from .highlight import HighlightedDocument
 from .jsonl import TEXT, as_text, read_records, require
 from .stepback import ChatClient
+
+if TYPE_CHECKING:
+    from .embeddings import EmbeddingProvider
+    from .retriever import RetrieverParams
+    from .store import Bm25Index
 
 TASKS = ("mcq", "claim-verification", "factoid")
 
@@ -290,10 +295,10 @@ class PipelineHandles:
     """Everything a run needs: clients, provider, retrieval sources, params."""
 
     qa_client: ChatClient
-    embedding_provider: object | None = None
+    embedding_provider: EmbeddingProvider | None = None
     stepback_client: ChatClient | None = None
-    retriever_params: object | None = None
-    bm25_index: object | None = None
+    retriever_params: RetrieverParams | None = None
+    bm25_index: Bm25Index | None = None
     precomputed: dict[str, list] | None = None
     max_workers: int = 4
 

@@ -90,12 +90,14 @@ class KeyedJsonl:
 
     Opening repairs a torn tail, then loads each line `decode` maps to (key, value), later
     lines winning; a line it rejects with KeyError, TypeError or ValueError is skipped.
+    The values are held in `items`: an empty dict, or another store with `in`,
+    `[key] = value`, `get` and `len`.
     """
 
-    def __init__(self, path: str | Path, decode: Callable[[Any], tuple[Any, Any]]):
+    def __init__(self, path: str | Path, decode: Callable[[Any], tuple[Any, Any]], items: Any):
         self.path = Path(path)
         self._lock = threading.Lock()
-        self._items: dict = {}
+        self._items = items
         repair_tail(self.path)
         if self.path.exists():
             for line in self.path.read_text(encoding="utf-8").splitlines():

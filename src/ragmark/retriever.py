@@ -16,10 +16,10 @@ import numpy as np
 
 # `align_score` and `coverage` stay importable from here: they are the
 # per-sentence definitions of what `MaxSimScorer` computes for a whole pool.
-from .alignment import AlignmentScore, MaxSimScorer, align_score, coverage  # noqa: F401
+from .alignment import AlignmentScore, MaxSimScorer, RunningCoverage, align_score, coverage  # noqa: F401
 from .embeddings import TermVector
 from .errors import EmptyCandidatePool
-from .text import SentenceSpan, Term, content_surfaces
+from .text import SentenceSpan, Term
 
 
 @dataclass(frozen=True)
@@ -84,16 +84,16 @@ def retrieve_chain(
         raise ValueError("scorer was built for a different candidate pool")
 
     query_surfaces = [t.surface for t in query_terms]
-    query_unique = set(query_surfaces)
     selected: list[int] = []
     hops: list[Hop] = []
 
     ranked, scoring_calls = scorer.ranking(query_surfaces)
+    cover = RunningCoverage(scorer, query_surfaces, params.m_threshold)
     pick = int(ranked[min(first_pick_rank, len(ranked)) - 1])
     working = query_surfaces
     while True:
         selected.append(pick)
-        remainder = scorer.coverage(query_unique, selected, params.m_threshold).remainder
+        remainder = cover.add((pick,)).remainder
         hops.append(
             Hop(
                 hop_index=len(hops) + 1,
@@ -109,11 +109,8 @@ def retrieve_chain(
         if len(selected) == len(candidates):
             return EvidenceChain(tuple(hops), "no-candidates", scoring_calls)
 
-        terms = set(remainder)
-        if len(remainder) < params.t_ambiguity:
-            for pos in selected:
-                terms |= content_surfaces(candidates[pos])
-        working = sorted(terms)
+        # cover.evidence: the content surfaces of every selected sentence
+        working = sorted(remainder | cover.evidence if len(remainder) < params.t_ambiguity else remainder)
 
         scores = scorer.scores(working)
         scores[selected] = -np.inf

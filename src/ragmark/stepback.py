@@ -122,7 +122,7 @@ class ReplyCache:
     """Append-only JSONL of {model, prompt_hash, prompt, reply}, keyed in memory."""
 
     def __init__(self, path: str | Path):
-        self._store = KeyedJsonl(path, _decode_reply)
+        self._store = KeyedJsonl(path, _decode_reply, {})
 
     def get(self, model: str, prompt: str) -> str | None:
         return self._store.get(_prompt_hash(model, prompt))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
@@ -34,12 +35,23 @@ class Term:
 
 @dataclass(frozen=True)
 class SentenceSpan:
-    """One sentence inside a passage; slicing text[start:end] is the sentence verbatim."""
+    """One sentence inside a passage; slicing text[start:end] is the sentence verbatim.
+
+    `surfaces` are its words' surfaces in order, with duplicates, and `content`
+    the set of them that are not stopwords. Both are computed once, when the
+    passage is split; `terms` builds the `Term`s from them on first use.
+    """
 
     passage_id: str
     start: int
     end: int
-    terms: tuple[Term, ...]
+    surfaces: tuple[str, ...]
+    content: frozenset[str]
+
+    @cached_property
+    def terms(self) -> tuple[Term, ...]:
+        """The `extract_terms(..., drop_stopwords=False)` of the sentence."""
+        return tuple(Term(s, s not in self.content) for s in self.surfaces)
 
     def slice(self, passage_text: str) -> str:
         return passage_text[self.start : self.end]
@@ -151,18 +163,12 @@ def split_sentences(
     for end in ends:
         while passage_text[pos].isspace():  # stops before `end`: text[end - 1] is not space
             pos += 1
-        spans.append(
-            SentenceSpan(
-                passage_id=passage_id,
-                start=pos,
-                end=end,
-                terms=extract_terms(passage_text[pos:end], drop_stopwords=False, stopwords=stopwords),
-            )
-        )
+        surfaces = tuple(word_surfaces(passage_text[pos:end]))
+        spans.append(SentenceSpan(passage_id, pos, end, surfaces, frozenset(surfaces).difference(stopwords)))
         pos = end
     return tuple(spans)
 
 
-def content_surfaces(span: SentenceSpan) -> set[str]:
+def content_surfaces(span: SentenceSpan) -> frozenset[str]:
     """Unique non-stopword surfaces of a sentence span."""
-    return {t.surface for t in span.terms if not t.is_stopword}
+    return span.content

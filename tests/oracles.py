@@ -8,8 +8,13 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain
+from typing import Mapping, Sequence
 
 import numpy as np
+
+from ragmark.embeddings import TermVector
+from ragmark.errors import DimensionMismatch, MissingVector, ZeroVector
 
 
 def brute_force_align(query_vecs: list[np.ndarray], sentence_vecs: list[np.ndarray]) -> float:
@@ -127,3 +132,43 @@ def decode_values_record(line: str) -> tuple[str, tuple[float, ...]]:
     if len(values) != rec["dim"]:
         raise ValueError("dim does not match the values")
     return rec["term"], values
+
+
+def _vector(surface: str, vectors: Mapping[str, TermVector]) -> TermVector:
+    try:
+        return vectors[surface]
+    except KeyError:
+        raise MissingVector(f"no embedding for term {surface!r}") from None
+
+
+def reference_cosine_matrix(
+    rows: Sequence[str], cols: Sequence[str], vectors: Mapping[str, TermVector]
+) -> np.ndarray:
+    """The cosine matrix as `alignment._cosine_matrix` built it from `TermVector` tuples,
+    one matrix of the request's unique surfaces at a time, before the vector table.
+
+    Cosines of every row surface against every column surface, clipped to [-1, 1].
+
+    Raises what the pairwise `cosine` calls would: MissingVector for any row
+    surface, and, when there is at least one pair, MissingVector for a column
+    surface, DimensionMismatch for unequal dimensions and ZeroVector for a
+    zero vector.
+    """
+    for s in rows:
+        _vector(s, vectors)
+    if not rows or not cols:
+        return np.zeros((len(rows), len(cols)))
+    surfaces = list(dict.fromkeys([*rows, *cols]))
+    vecs = [_vector(s, vectors) for s in surfaces]
+    dims = {v.dimension for v in vecs}
+    if len(dims) > 1:
+        raise DimensionMismatch(f"term vectors of dimensions {sorted(dims)}")
+    (dim,) = dims
+    values = chain.from_iterable(v.values for v in vecs)
+    m = np.fromiter(values, dtype=np.float64, count=len(vecs) * dim).reshape(len(vecs), dim)
+    norms = np.linalg.norm(m, axis=1)
+    if not norms.all():
+        raise ZeroVector("cosine undefined for the zero vector")
+    at = {s: i for i, s in enumerate(surfaces)}
+    r, c = [at[s] for s in rows], [at[s] for s in cols]
+    return np.clip((m[r] @ m[c].T) / np.outer(norms[r], norms[c]), -1.0, 1.0)

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ragmark.stepback import ConjoinedQuery
-from ragmark.text import ABBREVIATIONS, split_sentences
+from ragmark.text import ABBREVIATIONS, content_surfaces, extract_terms, split_sentences
 
 from oracles import reference_sentence_bounds
 
@@ -31,3 +31,27 @@ def test_query_terms_are_cached_and_equality_stays_field_based():
     assert a.terms is a.terms
     assert a == b and hash(a) == hash(b)
     assert a.terms == b.terms
+
+
+# Words with stopwords, capitals and punctuation, so spans hold both kinds of term.
+WORDS = st.lists(
+    st.sampled_from(["The", "the", "of", "bats", "Bats,", "hunt.", "night!", "(Why)", "is", "7.4", "Dr.", "x?"]),
+    max_size=30,
+).map(" ".join)
+
+
+@given(st.one_of(TEXT, WORDS))
+def test_spans_hold_what_extract_terms_gives(text):
+    spans = split_sentences("p", text)
+    for span in spans:
+        terms = extract_terms(span.slice(text), drop_stopwords=False)
+        assert span.surfaces == tuple(t.surface for t in terms)
+        assert content_surfaces(span) == {t.surface for t in terms if not t.is_stopword}
+        assert span.terms == terms
+    again = split_sentences("p", text)
+    assert again == spans
+    assert [hash(s) for s in again] == [hash(s) for s in spans]
+    # Equal exactly when the terms are: a stopword list that changes a term changes the span.
+    for span, other in zip(spans, split_sentences("p", text, stopwords=frozenset({"bats"}))):
+        assert (span == other) == (span.terms == other.terms)
+        assert span != other or hash(span) == hash(other)

@@ -1,0 +1,34 @@
+"""The benchmark's tracer (`perfbench/tracing.py`) wraps ragmark functions by
+the names its callers look them up through. Every name it patches must still
+exist, and a traced call must give what an untraced one gives."""
+
+import importlib.util
+from pathlib import Path
+
+import ragmark.pipeline as pipeline
+from ragmark.embeddings import OfflineEmbeddingProvider
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+QUESTION = "Why do lions hunt at night in arid deserts?"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_select_evidence_equals_untraced(arid_passage):
+    untraced = pipeline.select_evidence(QUESTION, [arid_passage], OfflineEmbeddingProvider())
+    original = pipeline.select_evidence
+    tracer = load_tracing().Tracer()
+    with tracer.install():
+        assert pipeline.select_evidence is not original
+        traced = pipeline.select_evidence(QUESTION, [arid_passage], OfflineEmbeddingProvider())
+    assert pipeline.select_evidence is original
+    assert traced == untraced
+    calls, _, counts, _ = tracer.totals()
+    assert calls["pipeline.select_evidence"] == 1
+    assert calls["retriever.retrieve_chain"] == len(untraced.chains)
+    assert counts["retriever.hops"] == sum(len(c.hops) for c in untraced.chains)

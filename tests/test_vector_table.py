@@ -1,0 +1,168 @@
+"""Term vectors held as rows of one float64 table.
+
+The cosine matrix gathered from a provider's table is, bit for bit, the one
+`oracles.reference_cosine_matrix` builds from `TermVector` tuples, for vectors
+fetched fresh, stored in blocks, and loaded from `f64` cache records. A cache
+whose records are odd (another dimension, a zero vector) fails only the
+requests that pair them, with `DimensionMismatch` or `ZeroVector`.
+"""
+
+import json
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ragmark.alignment import _cosine_matrix, align_score
+from ragmark.embeddings import EmbeddingProvider, OfflineEmbeddingProvider, TermVector, VectorCache
+from ragmark.errors import DimensionMismatch, RagmarkError, ZeroVector
+from ragmark.pipeline import select_evidence
+from ragmark.store import Passage
+from ragmark.text import Term, split_sentences
+
+from oracles import reference_cosine_matrix
+
+# Dimensions on both sides of numpy's pairwise-summation block sizes (8, 128).
+DIMS = st.sampled_from([1, 3, 8, 9, 64, 130])
+
+
+class GivenProvider(EmbeddingProvider):
+    """Serves fixed vectors, as a remote endpoint would."""
+
+    def __init__(self, vectors: dict[str, TermVector], dimension: int, **kwargs):
+        super().__init__(**kwargs)
+        self.vectors = vectors
+        self._dimension = dimension
+
+    @property
+    def dimension(self) -> int:
+        return self._dimension
+
+    def _fetch(self, batch):
+        return {t: self.vectors[t] for t in batch}
+
+
+def random_vectors(rng, n: int, dim: int, zeros: bool = False) -> dict[str, TermVector]:
+    """`n` vectors over a spread of magnitudes; with `zeros`, some are all zero."""
+    out = {}
+    for i in range(n):
+        values = rng.standard_normal(dim) * 10.0 ** int(rng.integers(-3, 4))
+        if zeros and rng.random() < 0.15:
+            values[:] = 0.0
+        out[f"t{i}"] = TermVector(f"t{i}", tuple(values.tolist()))
+    return out
+
+
+def draw(rng, surfaces: list[str], most: int) -> list[str]:
+    return [str(s) for s in rng.choice(surfaces, size=int(rng.integers(0, most + 1)))]
+
+
+def outcome(rows, cols, vectors, build):
+    try:
+        return build(rows, cols, vectors)
+    except RagmarkError as exc:
+        return type(exc)
+
+
+def assert_same(rows, cols, view, vectors):
+    got = outcome(rows, cols, view, _cosine_matrix)
+    want = outcome(rows, cols, vectors, reference_cosine_matrix)
+    if isinstance(want, type) or isinstance(got, type):
+        assert got is want
+    else:
+        assert got.shape == want.shape
+        assert np.array_equal(got, want, equal_nan=True)
+
+
+def requests(rng, surfaces: list[str]):
+    """Row and column lists with repeats, where many surfaces are both a row and a column,
+    and one request with the rows a scorer has: every column plus more."""
+    for _ in range(4):
+        yield draw(rng, surfaces, 12), draw(rng, surfaces, 12)
+    cols = draw(rng, surfaces, 8)
+    yield sorted(set(cols) | set(draw(rng, surfaces, 4))), sorted(set(cols))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=DIMS, n=st.integers(1, 14), batch_size=st.integers(1, 5))
+def test_rows_fetched_in_blocks_give_the_tuple_matrix(seed, dim, n, batch_size):
+    rng = np.random.default_rng(seed)
+    vectors = random_vectors(rng, n, dim)
+    surfaces = sorted(vectors)
+    with tempfile.TemporaryDirectory() as tmp:
+        provider = GivenProvider(vectors, dim, cache=VectorCache(Path(tmp) / "v.jsonl"), batch_size=batch_size)
+        # Grow the table between gathers, so the norms are computed over several blocks.
+        for known in (surfaces[: (n + 1) // 2], surfaces):
+            view = provider.embed_terms(known)
+            for rows, cols in requests(rng, known):
+                assert_same(rows, cols, view, {s: vectors[s] for s in known})
+        uncached = GivenProvider(vectors, dim, batch_size=batch_size).embed_terms(surfaces)
+        for rows, cols in requests(rng, surfaces):
+            assert_same(rows, cols, uncached, vectors)
+            assert_same(rows, cols, vectors, vectors)  # a plain mapping is copied into a table
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=DIMS, n=st.integers(1, 14))
+def test_rows_loaded_from_f64_records_give_the_tuple_matrix(seed, dim, n):
+    rng = np.random.default_rng(seed)
+    vectors = random_vectors(rng, n, dim, zeros=True)
+    surfaces = sorted(vectors)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "v.jsonl"
+        VectorCache(path).put_many(vectors.values())
+        provider = GivenProvider({}, dim, cache=VectorCache(path))
+        view = provider.embed_terms(surfaces)
+        assert provider.fetch_count == 0
+        for rows, cols in requests(rng, surfaces):
+            assert_same(rows, cols, view, vectors)
+
+
+# --- odd cache records fail the requests that pair them, and only those -------
+
+PASSAGES = [
+    Passage("p1", "Bats", "Bats hunt insects at night. Echolocation guides the hunt."),
+    Passage("p2", "Deserts", "Deserts hold little water. Rain is rare there."),
+]
+BATS = "Why do bats hunt at night?"
+DESERTS = "Why is desert water rare?"
+
+
+def cache_with(tmp_path, term: str, values: tuple[float, ...]) -> Path:
+    """A cache of every term both requests embed, then one more record for `term`."""
+    path = tmp_path / "vectors.jsonl"
+    provider = OfflineEmbeddingProvider(dimension=16, cache=VectorCache(path))
+    for question, passage in ((BATS, PASSAGES[0]), (DESERTS, PASSAGES[1])):
+        select_evidence(question, [passage], provider)
+    with path.open("a", encoding="utf-8") as fh:  # a later line wins on load
+        fh.write(json.dumps({"term": term, "dim": len(values), "values": list(values)}) + "\n")
+    return path
+
+
+def test_a_record_of_another_dimension_fails_only_requests_that_pair_it(tmp_path):
+    provider = OfflineEmbeddingProvider(dimension=16, cache=VectorCache(cache_with(tmp_path, "echolocation", (1.0,) * 8)))
+    assert provider.embed_terms({"echolocation"})["echolocation"].dimension == 8
+    with pytest.raises(DimensionMismatch):
+        select_evidence(BATS, [PASSAGES[0]], provider)
+    clean = OfflineEmbeddingProvider(dimension=16)
+    assert select_evidence(DESERTS, [PASSAGES[1]], provider) == select_evidence(DESERTS, [PASSAGES[1]], clean)
+    assert provider.fetch_count == 0
+
+
+def test_a_cached_zero_vector_raises_once_it_forms_a_pair(tmp_path):
+    provider = OfflineEmbeddingProvider(dimension=16, cache=VectorCache(cache_with(tmp_path, "rain", (0.0,) * 16)))
+    vectors = provider.embed_terms({"rain", "rare", "water"})
+    assert vectors["rain"].values == (0.0,) * 16  # held and handed out: no pair yet
+    assert _cosine_matrix(["rain"], [], vectors).shape == (1, 0)
+    stopwords_only = split_sentences("s", "It is there.")[0]
+    assert align_score([Term("rain", False)], stopwords_only, vectors).score == 0.0
+    rain_sentence = split_sentences("p2", PASSAGES[1].text)[1]
+    with pytest.raises(ZeroVector):
+        align_score([Term("water", False)], rain_sentence, vectors)
+    with pytest.raises(ZeroVector):
+        select_evidence(DESERTS, [PASSAGES[1]], provider)
+    clean = OfflineEmbeddingProvider(dimension=16)
+    assert select_evidence(BATS, [PASSAGES[0]], provider) == select_evidence(BATS, [PASSAGES[0]], clean)
