@@ -89,26 +89,20 @@ def _setting(cfg: RunConfig) -> RunSetting:
     return RunSetting(**{f.name: getattr(cfg, f.name) for f in dataclasses.fields(RunSetting)})
 
 
-def _write_report(report: RunReport, out_dir: Path, cfg: RunConfig, name: str = "report") -> None:
+def _write_reports(cfg: RunConfig, reports: dict[str, RunReport]) -> Path:
+    """Write the run's config.json once, then `<name>.json` and `<name>.records.jsonl` per report."""
+    out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg.save(out_dir / "config.json")
-    (out_dir / f"{name}.json").write_text(
-        json.dumps(report.to_summary(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    with (out_dir / f"{name}.records.jsonl").open("w", encoding="utf-8") as fh:
-        for o in report.outcomes:
-            fh.write(
-                json.dumps(
-                    {
-                        "query_id": o.query_id,
-                        "generation": o.generation,
-                        "correct": o.correct,
-                        "error": o.error,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+    for name, report in reports.items():
+        (out_dir / f"{name}.json").write_text(
+            json.dumps(report.to_summary(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        )
+        with (out_dir / f"{name}.records.jsonl").open("w", encoding="utf-8") as fh:
+            for o in report.outcomes:
+                record = {"query_id": o.query_id, "generation": o.generation, "correct": o.correct, "error": o.error}
+                fh.write(json.dumps(record, sort_keys=True) + "\n")
+    return out_dir
 
 
 @click.group()
@@ -203,7 +197,7 @@ def cmd_eval(config_path: str, baseline_path: str | None) -> None:
         records = load_dataset(cfg.dataset_path)
         handles = _handles(cfg)
         report = run_setting(records, _setting(cfg), handles, baseline=baseline)
-        _write_report(report, Path(cfg.output_dir), cfg)
+        _write_reports(cfg, {"report": report})
         line = f"accuracy: {report.accuracy:.2f} over {len(report.outcomes)} records"
         if report.relative_change is not None:
             line += f" (relative change {report.relative_change:+.2f}%)"
@@ -234,12 +228,9 @@ def cmd_sweep(config_path: str, k_values: str) -> None:
         records = load_dataset(cfg.dataset_path)
         handles = _handles(cfg)
         reports = topk_sweep(records, _setting(cfg), ks, handles)
-        out_dir = Path(cfg.output_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        cfg.save(out_dir / "config.json")
+        out_dir = _write_reports(cfg, {f"report_k{rep.setting.top_k}": rep for rep in reports})
         (out_dir / "sweep.csv").write_text(sweep_csv(reports), encoding="utf-8")
         for rep in reports:
-            _write_report(rep, out_dir, cfg, name=f"report_k{rep.setting.top_k}")
             click.echo(f"k={rep.setting.top_k}: accuracy {rep.accuracy:.2f}")
     except (RagmarkError, ValueError) as exc:
         click.echo(f"error: {exc}", err=True)

@@ -8,6 +8,7 @@ fixture clients and seed).
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -24,7 +25,6 @@ class RunConfig(RunSetting):
     retriever: RetrieverParams = field(default_factory=RetrieverParams)
     bm25: Bm25Params = field(default_factory=Bm25Params)
     provider: ProviderConfig = field(default_factory=ProviderConfig)
-    context_window_tokens: int = 4096
 
     # inputs and outputs
     kb_path: str | None = None
@@ -38,18 +38,21 @@ class RunConfig(RunSetting):
     qa_model: str = "recorded"
     llm_endpoint: str | None = None
 
-    seed: int = 0
-
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
         data = json.loads(text)
+        retired = sorted({"context_window_tokens", "seed"} & data.keys())  # fields no code read
+        if retired:
+            print(f"note: ignoring retired config fields {', '.join(retired)}", file=sys.stderr)
         kwargs = {}
         nested = {"retriever": RetrieverParams, "bm25": Bm25Params, "provider": ProviderConfig}
         names = {f.name for f in fields(cls)}
         for key, value in data.items():
+            if key in retired:
+                continue
             if key not in names:
                 raise ValueError(f"unknown config field {key!r}")
             kwargs[key] = nested[key](**value) if key in nested and value is not None else value

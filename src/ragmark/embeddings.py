@@ -279,24 +279,22 @@ class EmbeddingProvider:
             raise ValueError("batch_size must be positive")
         self.cache = cache
         self.batch_size = batch_size
-        self._lock = cache.table.lock if cache is not None else threading.Lock()
+        self.table = cache.table if cache is not None else VectorTable()
         self.fetch_count = 0  # terms actually fetched, for cache tests
 
     def embed_terms(self, terms: Iterable[str]) -> Mapping[str, TermVector]:
-        """The vectors of the unique `terms`: a read-only view over the rows of the cache's table.
+        """The vectors of the unique `terms`: a read-only view over the rows of the provider's table.
 
         The check for terms the table lacks, their fetches and their stores
         hold the table's lock throughout, so concurrent calls fetch each term
-        once. Without a cache every call fetches every term into a table of
-        its own.
+        once.
         """
         wanted = set(terms)
         if "" in wanted:
             raise ValueError("cannot embed an empty term")
         unique = sorted(wanted)
-        table = self.cache.table if self.cache is not None else VectorTable()
-        with self._lock:
-            missing = [t for t in unique if t not in table]
+        with self.table.lock:
+            missing = [t for t in unique if t not in self.table]
             for i in range(0, len(missing), self.batch_size):
                 batch = missing[i : i + self.batch_size]
                 fetched = self._fetch(batch)
@@ -306,8 +304,8 @@ class EmbeddingProvider:
                     self.cache.put_many(fetched[t] for t in batch)
                 else:
                     for t in batch:
-                        table[t] = fetched[t].values
-        return table.view(unique)
+                        self.table[t] = fetched[t].values
+        return self.table.view(unique)
 
     def _validate(self, batch: list[str], fetched: Mapping[str, TermVector]) -> None:
         dim = self.dimension

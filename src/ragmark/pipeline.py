@@ -9,7 +9,7 @@ from .alignment import MaxSimScorer
 from .embeddings import EmbeddingProvider, TermVector
 from .highlight import HighlightedDocument, highlight
 from .retriever import EvidenceChain, RetrieverParams, collect_evidence, retrieve_parallel_chains
-from .stepback import ChatClient, ConjoinedQuery, expand_query
+from .stepback import ChatClient, ConjoinedQuery, conjoin, expand_query, stepback_choice_concepts
 from .store import Passage, sentence_pool
 from .text import SentenceSpan, content_surfaces
 
@@ -28,13 +28,17 @@ def build_queries(
     choices: dict[str, str] | None,
     stepback_client: ChatClient | None,
 ) -> tuple[ConjoinedQuery, ...]:
-    """One conjoined query per MCQ choice when step-back is on, else a single query."""
-    if stepback_client is not None and choices:
-        return tuple(
-            expand_query(question, stepback_client, choice_text=choices[label])
-            for label in sorted(choices)
-        )
-    return (expand_query(question, stepback_client),)
+    """One conjoined query per MCQ choice when step-back is on, else a single query.
+
+    The step-back question is asked once; each choice adds its own concepts.
+    """
+    query = expand_query(question, stepback_client)
+    if stepback_client is None or not choices:
+        return (query,)
+    return tuple(
+        conjoin(question, query.stepback, stepback_choice_concepts(c, stepback_client) if c else None)
+        for _, c in sorted(choices.items())
+    )
 
 
 def gather_vectors(

@@ -45,10 +45,17 @@ class TestRunConfig:
         assert cfg.top_k == 11
 
     def test_json_round_trip(self, tmp_path):
-        cfg = RunConfig(top_k=9, retrieval="bm25", seed=42)
+        cfg = RunConfig(top_k=9, retrieval="bm25")
         path = tmp_path / "config.json"
         cfg.save(path)
         assert RunConfig.load(path) == cfg
+
+    def test_retired_fields_dropped_with_a_note(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text('{"top_k": 9, "seed": 42, "context_window_tokens": 2048}\n', encoding="utf-8")
+        assert RunConfig.load(path) == RunConfig(top_k=9)
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "context_window_tokens, seed" in err
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ValueError):

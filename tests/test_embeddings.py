@@ -144,36 +144,38 @@ class TestVectorCache:
         assert len(VectorCache(path)) == len(stored)
 
     def test_concurrent_embed_terms_fetch_each_term_once(self, tmp_path):
-        # The scenario above; threads that miss one term must not each fetch it. Each
-        # thread also gathers a cosine matrix while others append to the table.
-        provider = OfflineEmbeddingProvider(dimension=16, cache=VectorCache(tmp_path / "c.jsonl"), batch_size=3)
-        words = [f"w{i}" for i in range(24)]
-        term_sets = [words[i * 4 : i * 4 + 12] for i in range(4)]
-        start = threading.Barrier(len(term_sets))
-        matrices: dict[int, list] = {i: [] for i in range(len(term_sets))}
+        # The scenario above, with a cache and without one; threads that miss one term must
+        # not each fetch it. Each thread also gathers a cosine matrix while others append to
+        # the table.
+        cached = OfflineEmbeddingProvider(dimension=16, cache=VectorCache(tmp_path / "c.jsonl"), batch_size=3)
+        for provider in (cached, OfflineEmbeddingProvider(dimension=16, batch_size=3)):
+            words = [f"w{i}" for i in range(24)]
+            term_sets = [words[i * 4 : i * 4 + 12] for i in range(4)]
+            start = threading.Barrier(len(term_sets))
+            matrices: dict[int, list] = {i: [] for i in range(len(term_sets))}
 
-        def embed(i: int) -> None:
-            start.wait(timeout=30)
-            for _ in range(3):
-                vectors = provider.embed_terms(term_sets[i])
-                matrices[i].append(_cosine_matrix(term_sets[i], term_sets[i], vectors))
+            def embed(i: int) -> None:
+                start.wait(timeout=30)
+                for _ in range(3):
+                    vectors = provider.embed_terms(term_sets[i])
+                    matrices[i].append(_cosine_matrix(term_sets[i], term_sets[i], vectors))
 
-        threads = [threading.Thread(target=embed, args=(i,)) for i in range(len(term_sets))]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=30)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert provider.fetch_count == 24
-        uncached = OfflineEmbeddingProvider(dimension=16)
-        for i, terms in enumerate(term_sets):
-            want = reference_cosine_matrix(terms, terms, uncached.embed_terms(terms))
-            assert len(matrices[i]) == 3 and all(np.array_equal(m, want) for m in matrices[i])
+            threads = [threading.Thread(target=embed, args=(i,)) for i in range(len(term_sets))]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(t.is_alive() for t in threads)
+            assert provider.fetch_count == 24
+            reference = OfflineEmbeddingProvider(dimension=16)
+            for i, terms in enumerate(term_sets):
+                want = reference_cosine_matrix(terms, terms, reference.embed_terms(terms))
+                assert len(matrices[i]) == 3 and all(np.array_equal(m, want) for m in matrices[i])
 
 
 class FakeResponse:

@@ -1,8 +1,11 @@
-from ragmark.embeddings import OfflineEmbeddingProvider
+import pytest
+
+from ragmark.embeddings import OfflineEmbeddingProvider, ProviderConfig
+from ragmark.errors import EmptyReply
 from ragmark.highlight import OPEN_TAG, strip_tags
 from ragmark.pipeline import build_queries, select_evidence
 from ragmark.retriever import RetrieverParams
-from ragmark.stepback import StubChatClient
+from ragmark.stepback import StubChatClient, expand_query
 from ragmark.store import Passage
 
 
@@ -27,6 +30,33 @@ class TestBuildQueries:
         assert len(queries) == 2
         assert all(q.stepback for q in queries)
         assert all(q.choice_concepts for q in queries)
+
+    def test_stepback_question_asked_once_per_record(self):
+        choices = {"A": "light scattering", "B": "ocean reflection", "C": "dust", "D": "ozone"}
+        client = stepback_stub()
+        build_queries("Why is the sky blue?", choices, client)
+        assert len(client.calls) == 1 + len(choices)
+        assert sum("step back and paraphrase" in p for p in client.calls) == 1
+
+    def test_queries_equal_one_expansion_per_choice(self):
+        question = "Why is the sky blue?"
+        choices = {"B": "ocean reflection", "A": "light scattering", "C": ""}
+        want = tuple(expand_query(question, stepback_stub(), choice_text=choices[k]) for k in sorted(choices))
+        got = build_queries(question, choices, stepback_stub())
+        assert got == want
+        assert got[2].choice_concepts is None  # an empty choice asks for no concepts
+
+    @pytest.mark.parametrize("stepback_reply", ["   ", None], ids=["blank", "empty-reply"])
+    def test_empty_stepback_reply_falls_back_to_original(self, stepback_reply):
+        def reply(prompt):
+            if "step back and paraphrase" not in prompt:
+                return "refraction"
+            if stepback_reply is None:
+                raise EmptyReply("no text")
+            return stepback_reply
+
+        queries = build_queries("Why is the sky blue?", {"A": "light", "B": "sea"}, StubChatClient(reply))
+        assert [(q.stepback, q.choice_concepts) for q in queries] == [(None, "refraction")] * 2
 
     def test_non_mcq_with_stepback(self):
         queries = build_queries("Why is the sky blue?", None, stepback_stub())
@@ -101,6 +131,14 @@ class TestSelectEvidence:
         )
         assert len(result.queries) == 2
         assert result.chains  # pooled across choices
+
+    def test_provider_without_cache_fetches_each_term_once(self):
+        provider = ProviderConfig().build()
+        counts = []
+        for _ in range(3):
+            select_evidence("How do desert animals avoid losing water?", self.passages(), provider)
+            counts.append(provider.fetch_count)
+        assert counts[0] > 0 and counts == [counts[0]] * 3
 
     def test_deterministic(self, provider):
         args = (

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import ragmark.pipeline as pipeline
 from ragmark.embeddings import OfflineEmbeddingProvider
+from ragmark.stepback import StubChatClient
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 QUESTION = "Why do lions hunt at night in arid deserts?"
@@ -32,3 +33,24 @@ def test_traced_select_evidence_equals_untraced(arid_passage):
     assert calls["pipeline.select_evidence"] == 1
     assert calls["retriever.retrieve_chain"] == len(untraced.chains)
     assert counts["retriever.hops"] == sum(len(c.hops) for c in untraced.chains)
+
+
+def test_traced_mcq_with_stepback_equals_untraced(arid_passage):
+    def reply(prompt):
+        return "Why are desert animals nocturnal?" if "step back and paraphrase" in prompt else "water, heat"
+
+    choices = {"A": "They avoid the heat.", "B": "They see better.", "C": "They sleep less."}
+
+    def run():
+        return pipeline.select_evidence(
+            QUESTION, [arid_passage], OfflineEmbeddingProvider(), stepback_client=StubChatClient(reply), choices=choices
+        )
+
+    untraced = run()
+    tracer = load_tracing().Tracer()
+    with tracer.install():
+        traced = run()
+    assert traced == untraced
+    assert len(traced.queries) == len(choices)
+    calls, _, _, _ = tracer.totals()
+    assert calls["stepback.expand_query"] == 1
