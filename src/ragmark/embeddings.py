@@ -10,7 +10,9 @@ Two providers share one interface:
 
 In memory each vector is held once, as a float64 row of a `VectorTable`;
 `embed_terms` returns a `VectorView` over those rows, and a `TermVector` is
-built only when one is looked up. Vectors are cached in an append-only JSONL
+built only when one is looked up. A provider's `_fetch` returns a batch as one
+`(len(batch), dim)` float64 block, which goes into the rows in one copy and
+into the cache file in one write. Vectors are cached in an append-only JSONL
 file, one record per term with the exact float64 bits in base64, which load
 straight into rows. A torn last line (crash mid-write) is repaired on open,
 so later appends start on a fresh line, and any other corrupt record is
@@ -22,9 +24,9 @@ from __future__ import annotations
 import base64
 import hashlib
 import os
-import struct
 import threading
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -110,15 +112,29 @@ class _Rows:
         self._n = 0
         self._normed = 0
 
+    def _reserve(self, end: int) -> None:
+        """Grow to hold `end` rows; called under the lock."""
+        if end > len(self._data):
+            n, size = self._n, max(2 * len(self._data), end)
+            data, norms = np.empty((size, self.dim)), np.empty(size)
+            data[:n], norms[:n] = self._data[:n], self._norms[:n]
+            self._data, self._norms = data, norms
+
     def append(self, values: Sequence[float]) -> int:
         with self._lock:
             n = self._n
-            if n == len(self._data):
-                data, norms = np.empty((2 * n, self.dim)), np.empty(2 * n)
-                data[:n], norms[:n] = self._data, self._norms
-                self._data, self._norms = data, norms
+            self._reserve(n + 1)
             self._data[n] = values
             self._n = n + 1
+            return n
+
+    def extend(self, block: np.ndarray) -> int:
+        """Append the rows of the 2-D `block` in one copy; the index of the first."""
+        with self._lock:
+            n, end = self._n, self._n + len(block)
+            self._reserve(end)
+            self._data[n:end] = block
+            self._n = end
             return n
 
     def row(self, i: int) -> np.ndarray:
@@ -154,11 +170,20 @@ class VectorTable:
         self._at: dict[str, tuple[_Rows, int]] = {}
         self._by_dim: dict[int, _Rows] = {}
 
-    def __setitem__(self, surface: str, values: Sequence[float]) -> None:
-        rows = self._by_dim.get(len(values))
+    def _rows(self, dim: int) -> _Rows:
+        rows = self._by_dim.get(dim)
         if rows is None:
-            rows = self._by_dim[len(values)] = _Rows(len(values))
+            rows = self._by_dim[dim] = _Rows(dim)
+        return rows
+
+    def __setitem__(self, surface: str, values: Sequence[float]) -> None:
+        rows = self._rows(len(values))
         self._at[surface] = (rows, rows.append(values))
+
+    def put_rows(self, surfaces: Sequence[str], block: np.ndarray) -> None:
+        """Store row i of the `(len(surfaces), dim)` `block` as the vector of `surfaces[i]`."""
+        rows = self._rows(block.shape[1])
+        self._at.update((s, (rows, i)) for i, s in enumerate(surfaces, rows.extend(block)))
 
     def __contains__(self, surface: object) -> bool:
         return surface in self._at
@@ -228,11 +253,18 @@ class VectorView(Mapping[str, TermVector]):
         return data, norms, np.array([i for _, i in at], dtype=np.intp)
 
 
-def _encode_vector(vec: TermVector) -> tuple[str, np.ndarray, dict]:
-    """(term, row, record) of a vector: the record's `f64` and the row hold the same bytes."""
-    raw = struct.pack(f"<{vec.dimension}d", *vec.values)
-    record = {"term": vec.term_surface, "dim": vec.dimension, "f64": base64.b64encode(raw).decode("ascii")}
-    return vec.term_surface, np.frombuffer(raw, dtype="<f8"), record
+def _encode_rows(terms: Sequence[str], block: np.ndarray) -> str:
+    """One line per term, in order: `json.dumps({"term", "dim", "f64"})` of its row and a newline.
+
+    Rendered without the dict: `encode_basestring_ascii` is the string encoder
+    `json.dumps` uses, and the base64 alphabet needs no escapes.
+    """
+    tail = f', "dim": {block.shape[1]}, "f64": "'
+    rows = np.ascontiguousarray(block, dtype="<f8")
+    return "".join(
+        f'{{"term": {encode_basestring_ascii(t)}{tail}{base64.b64encode(row).decode("ascii")}"}}\n'
+        for t, row in zip(terms, rows)
+    )
 
 
 def _decode_vector(rec: dict) -> tuple[str, np.ndarray]:
@@ -264,8 +296,10 @@ class VectorCache:
     def get(self, term: str) -> TermVector | None:
         return self._store.get(term)
 
-    def put_many(self, vectors: Iterable[TermVector]) -> None:
-        self._store.put_many(_encode_vector(v) for v in vectors)
+    def put_rows(self, terms: Sequence[str], block: np.ndarray) -> None:
+        """Hold row i of `block` as the vector of `terms[i]` and append the rows' records in one write."""
+        self.table.put_rows(terms, block)
+        self._store.append(_encode_rows(terms, block))
 
     def __len__(self) -> int:
         return len(self._store)
@@ -297,30 +331,29 @@ class EmbeddingProvider:
             missing = [t for t in unique if t not in self.table]
             for i in range(0, len(missing), self.batch_size):
                 batch = missing[i : i + self.batch_size]
-                fetched = self._fetch(batch)
+                block = self._fetch(batch)
                 self.fetch_count += len(batch)
-                self._validate(batch, fetched)
+                self._validate(batch, block)
                 if self.cache is not None:
-                    self.cache.put_many(fetched[t] for t in batch)
+                    self.cache.put_rows(batch, block)
                 else:
-                    for t in batch:
-                        self.table[t] = fetched[t].values
+                    self.table.put_rows(batch, block)
         return self.table.view(unique)
 
-    def _validate(self, batch: list[str], fetched: Mapping[str, TermVector]) -> None:
-        dim = self.dimension
-        for t in batch:
-            vec = fetched[t]
-            if vec.dimension != dim:
-                raise DimensionMismatch(f"provider returned dim {vec.dimension}, expected {dim}")
-            if not any(vec.values):
-                raise ZeroVector(f"provider returned the zero vector for {t!r}")
+    def _validate(self, batch: list[str], block: np.ndarray) -> None:
+        want = (len(batch), self.dimension)
+        if block.shape != want:
+            raise DimensionMismatch(f"provider returned a block of shape {block.shape}, expected {want}")
+        zero = ~block.any(axis=1)
+        if zero.any():
+            raise ZeroVector(f"provider returned the zero vector for {batch[int(zero.argmax())]!r}")
 
     @property
     def dimension(self) -> int:
         raise NotImplementedError
 
-    def _fetch(self, batch: list[str]) -> dict[str, TermVector]:
+    def _fetch(self, batch: list[str]) -> np.ndarray:
+        """The batch's vectors as one `(len(batch), dim)` float64 array, row i for `batch[i]`."""
         raise NotImplementedError
 
 
@@ -347,15 +380,13 @@ class OfflineEmbeddingProvider(EmbeddingProvider):
     def dimension(self) -> int:
         return self._dimension
 
-    def _vector_for(self, term: str) -> TermVector:
-        digest = hashlib.sha256(f"{self.seed}:{term}".encode("utf-8")).digest()
-        rng = np.random.default_rng(int.from_bytes(digest[:8], "big"))
-        values = rng.standard_normal(self._dimension)
-        values /= np.linalg.norm(values)
-        return TermVector(term, tuple(values.tolist()))
-
-    def _fetch(self, batch: list[str]) -> dict[str, TermVector]:
-        return {t: self._vector_for(t) for t in batch}
+    def _fetch(self, batch: list[str]) -> np.ndarray:
+        block = np.empty((len(batch), self._dimension))
+        for term, row in zip(batch, block):
+            digest = hashlib.sha256(f"{self.seed}:{term}".encode("utf-8")).digest()
+            np.random.default_rng(int.from_bytes(digest[:8], "big")).standard_normal(out=row)
+            row /= np.linalg.norm(row)
+        return block
 
 
 class RemoteEmbeddingProvider(EmbeddingProvider):
@@ -387,17 +418,23 @@ class RemoteEmbeddingProvider(EmbeddingProvider):
             raise RuntimeError("dimension unknown before the first fetch")
         return self._dimension
 
-    def _validate(self, batch: list[str], fetched: Mapping[str, TermVector]) -> None:
-        if self._dimension is None and batch:
-            self._dimension = fetched[batch[0]].dimension
-        super()._validate(batch, fetched)
+    def _validate(self, batch: list[str], block: np.ndarray) -> None:
+        if self._dimension is None:
+            self._dimension = block.shape[1]
+        super()._validate(batch, block)
 
-    def _fetch(self, batch: list[str]) -> dict[str, TermVector]:
-        def parse(reply) -> dict[str, TermVector]:
-            return {
-                term: TermVector(term, tuple(float(v) for v in item["embedding"]))
-                for term, item in zip(batch, reply["data"], strict=True)
-            }
+    def _fetch(self, batch: list[str]) -> np.ndarray:
+        def parse(reply) -> np.ndarray:
+            embeddings = [item["embedding"] for item in reply["data"]]
+            if len(embeddings) != len(batch):
+                raise ValueError(f"{len(embeddings)} embeddings for {len(batch)} terms")
+            dims = sorted({len(e) for e in embeddings})
+            if len(dims) > 1:  # an answer, so no retry
+                raise DimensionMismatch(f"provider returned dims {dims} in one reply")
+            block = np.array(embeddings)
+            if block.ndim != 2 or block.dtype.kind not in "biuf":  # e.g. a null, which float64 reads as nan
+                raise TypeError(f"embeddings hold {block.dtype} values, not numbers")
+            return block.astype(np.float64)
 
         body = {"model": self.model_name, "input": batch}
         return post_with_retries(

@@ -25,6 +25,10 @@ class EmptyCandidatePool(RagmarkError):
     """Evidence retrieval invoked with no candidate sentences."""
 
 
+class MissingResults(RagmarkError):
+    """A record's query id has no entry in the precomputed retrieval results."""
+
+
 class DuplicateId(RagmarkError):
     """Two passages or records share an identifier."""
 

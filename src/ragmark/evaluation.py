@@ -19,6 +19,7 @@ from .errors import (
     DuplicateId,
     MalformedRecord,
     MissingChoices,
+    MissingResults,
     UnknownTemplate,
 )
 from .highlight import HighlightedDocument
@@ -323,7 +324,9 @@ def _evaluate_record(
             else:
                 if handles.precomputed is None:
                     raise ValueError("dense retrieval requested without precomputed results")
-                passages = handles.precomputed[record.query_id]
+                passages = handles.precomputed.get(record.query_id)
+                if passages is None:
+                    raise MissingResults(f"no precomputed results for query id {record.query_id!r}")
                 if setting.top_k is not None:
                     passages = passages[: setting.top_k]
             if setting.highlighting:

@@ -97,6 +97,7 @@ class KeyedJsonl:
     def __init__(self, path: str | Path, decode: Callable[[Any], tuple[Any, Any]], items: Any):
         self.path = Path(path)
         self._lock = threading.Lock()
+        self._dir_made = False
         self._items = items
         repair_tail(self.path)
         if self.path.exists():
@@ -112,14 +113,26 @@ class KeyedJsonl:
             return self._items.get(key)
 
     def put_many(self, entries: Iterable[tuple[Any, Any, dict]]) -> None:
-        """Hold each (key, value) whose key is new and append its record; one open per call."""
+        """Hold each (key, value) whose key is new and append its record; one write per call."""
         with self._lock:
+            lines = []
+            for key, value, record in entries:
+                if key not in self._items:
+                    self._items[key] = value
+                    lines.append(json.dumps(record) + "\n")
+            self._append("".join(lines))
+
+    def append(self, lines: str) -> None:
+        """Append whole record lines whose values the caller has put in `items` itself."""
+        with self._lock:
+            self._append(lines)
+
+    def _append(self, lines: str) -> None:
+        if not self._dir_made:  # once per store, before its first append
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            with self.path.open("a", encoding="utf-8") as fh:
-                for key, value, record in entries:
-                    if key not in self._items:
-                        self._items[key] = value
-                        fh.write(json.dumps(record) + "\n")
+            self._dir_made = True
+        with self.path.open("a", encoding="utf-8") as fh:
+            fh.write(lines)
 
     def __len__(self) -> int:
         with self._lock:

@@ -124,11 +124,12 @@ class ReplyCache:
     def __init__(self, path: str | Path):
         self._store = KeyedJsonl(path, _decode_reply, {})
 
-    def get(self, model: str, prompt: str) -> str | None:
-        return self._store.get(_prompt_hash(model, prompt))
+    def get(self, model: str, prompt: str, key: str | None = None) -> str | None:
+        """The cached reply; `key`, when the caller has it, is `_prompt_hash(model, prompt)`."""
+        return self._store.get(key or _prompt_hash(model, prompt))
 
-    def put(self, model: str, prompt: str, reply: str) -> None:
-        key = _prompt_hash(model, prompt)
+    def put(self, model: str, prompt: str, reply: str, key: str | None = None) -> None:
+        key = key or _prompt_hash(model, prompt)
         record = {"model": model, "prompt_hash": key, "prompt": prompt, "reply": reply}
         self._store.put_many([(key, reply, record)])
 
@@ -142,11 +143,12 @@ class CachingChatClient:
         self.model_name = inner.model_name
 
     def complete(self, prompt: str) -> str:
-        cached = self.cache.get(self.model_name, prompt)
+        key = _prompt_hash(self.model_name, prompt)
+        cached = self.cache.get(self.model_name, prompt, key)
         if cached is not None:
             return cached
         reply = self.inner.complete(prompt)
-        self.cache.put(self.model_name, prompt, reply)
+        self.cache.put(self.model_name, prompt, reply, key)
         return reply
 
 
@@ -232,15 +234,10 @@ def conjoin(
     return ConjoinedQuery(original=original, stepback=stepback, choice_concepts=choice_concepts)
 
 
-def expand_query(
-    question: str,
-    client: ChatClient | None,
-    choice_text: str | None = None,
-) -> ConjoinedQuery:
-    """Conjoin `question` with step-back expansions when a client is given.
+def expand_query(question: str, client: ChatClient | None) -> ConjoinedQuery:
+    """Conjoin `question` with its step-back question when a client is given.
 
-    A blank or textless step-back reply falls back to the original-only
-    query; a blank or textless concept reply falls back to the raw choice text.
+    A blank or textless step-back reply falls back to the original-only query.
     """
     if client is None:
         return conjoin(question)
@@ -248,5 +245,4 @@ def expand_query(
         sb = stepback_question(question, client)
     except EmptyReply:
         sb = None
-    concepts = stepback_choice_concepts(choice_text, client) if choice_text else None
-    return conjoin(question, sb, concepts)
+    return conjoin(question, sb)

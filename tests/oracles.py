@@ -6,6 +6,7 @@ double loops and the textbook BM25 formula, written once and never optimized.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from itertools import chain
@@ -118,6 +119,16 @@ def reference_normalize(raw: str) -> str | None:
 def reference_surfaces(text: str) -> list[str]:
     """`reference_normalize` of each whitespace-split word, empty ones dropped."""
     return [s for s in map(reference_normalize, text.split()) if s is not None]
+
+
+def reference_offline_vector(seed: int, term: str, dim: int) -> tuple[float, ...]:
+    """The offline provider's vector for `term`, built one term at a time as a fresh array:
+    a generator seeded from sha256 of "seed:term", `dim` normal draws, divided by their norm."""
+    digest = hashlib.sha256(f"{seed}:{term}".encode("utf-8")).digest()
+    rng = np.random.default_rng(int.from_bytes(digest[:8], "big"))
+    values = rng.standard_normal(dim)
+    values /= np.linalg.norm(values)
+    return tuple(values.tolist())
 
 
 def values_record(term: str, values: tuple[float, ...]) -> str:

@@ -245,6 +245,44 @@ class TestRemoteProvider:
         with pytest.raises(ZeroVector):
             provider.embed_terms({"a"})
 
+    @staticmethod
+    def replying(data):
+        """A provider with `retries=2` whose endpoint answers `data`, and its list of POSTs."""
+        posts = []
+
+        def post(url, json=None, **kwargs):
+            posts.append(json["input"])
+            return FakeResponse({"data": data})
+
+        return RemoteEmbeddingProvider("http://x", retries=2, post=post), posts
+
+    def test_embeddings_of_unequal_length_raise_after_one_post(self):
+        provider, posts = self.replying([{"embedding": [1.0, 0.0]}, {"embedding": [1.0, 0.0, 2.0]}])
+        with pytest.raises(DimensionMismatch):
+            provider.embed_terms({"a", "b"})
+        assert len(posts) == 1
+
+    def test_a_null_in_an_embedding_is_retried_and_never_loads_as_nan(self):
+        provider, posts = self.replying([{"embedding": [1.0, None]}])
+        with pytest.raises(RemoteUnavailable):
+            provider.embed_terms({"a"})
+        assert len(posts) == 3  # initial try + 2 retries
+        assert "a" not in provider.table and provider.fetch_count == 0
+
+    @pytest.mark.parametrize("items", [1, 3])
+    def test_a_reply_with_the_wrong_number_of_items_is_unavailable(self, items):
+        provider, posts = self.replying([{"embedding": [1.0, 0.0]}] * items)
+        with pytest.raises(RemoteUnavailable):
+            provider.embed_terms({"a", "b"})
+        assert len(posts) == 3
+        assert len(provider.table) == 0
+
+    def test_zero_vector_names_its_term(self):
+        provider, posts = self.replying([{"embedding": [1.0, 0.0]}, {"embedding": [0.0, -0.0]}])
+        with pytest.raises(ZeroVector, match="'desert'"):
+            provider.embed_terms({"bats", "desert"})
+        assert len(posts) == 1
+
 
 class TestProviderConfig:
     def test_endpoint_iff_remote(self):

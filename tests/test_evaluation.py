@@ -244,6 +244,14 @@ class TestRunSetting:
         assert not outcomes["q1"].correct
         assert outcomes["q1"].error
 
+    def test_a_query_id_missing_from_the_results_is_named(self):
+        records, precomputed = self.records_and_passages(2)
+        del precomputed["q1"]
+        setting = RunSetting(highlighting=False, stepback=False)
+        report = run_setting(records, setting, self.handles(precomputed, StubChatClient("skill0 skill1")))
+        error = {o.query_id: o.error for o in report.outcomes}["q1"]
+        assert error == "MissingResults: no precomputed results for query id 'q1'"
+
     def test_no_retrieval_never_touches_provider_or_store(self):
         records, precomputed = self.records_and_passages()
         provider = OfflineEmbeddingProvider(dimension=32, seed=0)

@@ -3,6 +3,7 @@ import pytest
 from ragmark.embeddings import OfflineEmbeddingProvider
 from ragmark.errors import EmptyReply
 from ragmark.evaluation import EvalRecord, PipelineHandles, RunSetting, run_setting
+from ragmark.pipeline import build_queries
 from ragmark.stepback import (
     CachingChatClient,
     ConjoinedQuery,
@@ -55,7 +56,7 @@ def test_stepback_falls_back_to_the_original_question(tmp_path):
     post = NullContentPost()
     client = CachingChatClient(null_client(post), ReplyCache(tmp_path / "replies.jsonl"))
     assert expand_query("What is X?", client) == ConjoinedQuery("What is X?")
-    q = expand_query("What is X?", client, choice_text="Water is wet.")
+    [q] = build_queries("What is X?", {"A": "Water is wet."}, client)
     assert q == ConjoinedQuery("What is X?", choice_concepts="Water is wet.")
 
 

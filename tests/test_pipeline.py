@@ -5,7 +5,7 @@ from ragmark.errors import EmptyReply
 from ragmark.highlight import OPEN_TAG, strip_tags
 from ragmark.pipeline import build_queries, select_evidence
 from ragmark.retriever import RetrieverParams
-from ragmark.stepback import StubChatClient, expand_query
+from ragmark.stepback import StubChatClient, conjoin, stepback_choice_concepts, stepback_question
 from ragmark.store import Passage
 
 
@@ -41,7 +41,13 @@ class TestBuildQueries:
     def test_queries_equal_one_expansion_per_choice(self):
         question = "Why is the sky blue?"
         choices = {"B": "ocean reflection", "A": "light scattering", "C": ""}
-        want = tuple(expand_query(question, stepback_stub(), choice_text=choices[k]) for k in sorted(choices))
+
+        def expansion(choice):  # the step-back question and the choice's concepts, asked per choice
+            client = stepback_stub()
+            concepts = stepback_choice_concepts(choice, client) if choice else None
+            return conjoin(question, stepback_question(question, client), concepts)
+
+        want = tuple(expansion(choices[k]) for k in sorted(choices))
         got = build_queries(question, choices, stepback_stub())
         assert got == want
         assert got[2].choice_concepts is None  # an empty choice asks for no concepts

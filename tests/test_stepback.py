@@ -1,6 +1,10 @@
+import json
+
 import pytest
 
+import ragmark.stepback as stepback
 from ragmark.errors import EmptyReply, LlmUnavailable
+from ragmark.pipeline import build_queries
 from ragmark.stepback import (
     STEPBACK_CHOICE_TEMPLATE,
     STEPBACK_QUESTION_TEMPLATE,
@@ -17,6 +21,8 @@ from ragmark.stepback import (
     stepback_question,
 )
 from ragmark.text import extract_terms
+
+stepback_hash = stepback._prompt_hash
 
 
 class TestTemplates:
@@ -113,7 +119,7 @@ class TestExpandQuery:
                 return "What are X's properties?"
             return "wetness, liquidity"
 
-        q = expand_query("What is X?", StubChatClient(reply), choice_text="Water is wet.")
+        [q] = build_queries("What is X?", {"A": "Water is wet."}, StubChatClient(reply))
         assert q.stepback == "What are X's properties?"
         assert q.choice_concepts == "wetness, liquidity"
 
@@ -179,6 +185,21 @@ class TestReplyCache:
         assert client.complete("p") == "reply"
         assert client.complete("p") == "reply"
         assert len(inner.calls) == 1
+
+    def test_caching_client_hashes_each_prompt_once_per_call(self, tmp_path, monkeypatch):
+        hashed = []
+
+        def counting_hash(model, prompt):
+            hashed.append(prompt)
+            return stepback_hash(model, prompt)
+
+        monkeypatch.setattr(stepback, "_prompt_hash", counting_hash)
+        path = tmp_path / "new" / "dir" / "r.jsonl"  # made at the first append
+        client = CachingChatClient(StubChatClient("reply", model_name="m"), ReplyCache(path))
+        assert [client.complete(p) for p in ("p", "q", "p")] == ["reply"] * 3
+        assert hashed == ["p", "q", "p"]
+        assert [json.loads(line)["prompt"] for line in path.read_text(encoding="utf-8").splitlines()] == ["p", "q"]
+        assert ReplyCache(path).get("m", "q") == "reply"
 
     def test_recorded_client_replays_only(self, tmp_path):
         cache = ReplyCache(tmp_path / "r.jsonl")

@@ -7,12 +7,13 @@ import struct
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from oracles import decode_values_record, values_record
 
-from ragmark.embeddings import OfflineEmbeddingProvider, TermVector, VectorCache
+from ragmark.embeddings import OfflineEmbeddingProvider, VectorCache
 
 TERMS = st.text(min_size=1, max_size=8)
 VECTORS = st.lists(st.floats(width=64), min_size=1, max_size=12).map(tuple)
@@ -32,7 +33,9 @@ def f64_record(term: str, values: tuple[float, ...], dim: int | None = None) -> 
 def round_trip(vectors: dict[str, tuple[float, ...]]) -> VectorCache:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "vectors.jsonl"
-        VectorCache(path).put_many(TermVector(t, v) for t, v in vectors.items())
+        cache = VectorCache(path)
+        for t, v in vectors.items():  # one block per vector: the lengths differ
+            cache.put_rows([t], np.array([v]))
         return VectorCache(path)
 
 
@@ -53,7 +56,7 @@ def test_signed_zeros_subnormals_infinities_and_nan_payloads_survive():
 
 def test_new_record_keys_are_term_dim_f64(tmp_path):
     path = tmp_path / "vectors.jsonl"
-    VectorCache(path).put_many([TermVector("desert", (0.5, -0.25))])
+    VectorCache(path).put_rows(["desert"], np.array([(0.5, -0.25)]))
     [line] = path.read_text(encoding="utf-8").splitlines()
     record = json.loads(line)
     assert list(record) == ["term", "dim", "f64"]

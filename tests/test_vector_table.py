@@ -42,7 +42,7 @@ class GivenProvider(EmbeddingProvider):
         return self._dimension
 
     def _fetch(self, batch):
-        return {t: self.vectors[t] for t in batch}
+        return np.array([self.vectors[t].values for t in batch])
 
 
 def random_vectors(rng, n: int, dim: int, zeros: bool = False) -> dict[str, TermVector]:
@@ -113,7 +113,7 @@ def test_rows_loaded_from_f64_records_give_the_tuple_matrix(seed, dim, n):
     surfaces = sorted(vectors)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "v.jsonl"
-        VectorCache(path).put_many(vectors.values())
+        VectorCache(path).put_rows(list(vectors), np.array([v.values for v in vectors.values()]))
         provider = GivenProvider({}, dim, cache=VectorCache(path))
         view = provider.embed_terms(surfaces)
         assert provider.fetch_count == 0
