@@ -11,7 +11,7 @@ from pathlib import Path
 import click
 
 from .config import RunConfig
-from .errors import RagmarkError
+from .errors import MissingSource, RagmarkError
 from .evaluation import (
     PipelineHandles,
     RunReport,
@@ -19,6 +19,7 @@ from .evaluation import (
     load_dataset,
     run_setting,
     sweep_csv,
+    sweep_settings,
     topk_sweep,
 )
 from .pipeline import select_evidence
@@ -205,6 +206,9 @@ def cmd_eval(config_path: str, baseline_path: str | None) -> None:
         failures = [o for o in report.outcomes if o.error]
         if failures:
             click.echo(f"{len(failures)} records failed and were scored incorrect", err=True)
+    except MissingSource as exc:
+        click.echo(f"config error: {exc}", err=True)
+        sys.exit(EXIT_CONFIG_ERROR)
     except RagmarkError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_RUN_ERROR)
@@ -212,14 +216,15 @@ def cmd_eval(config_path: str, baseline_path: str | None) -> None:
 
 @main.command("sweep")
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
-@click.option("--k-values", required=True, help="Comma-separated ascending k values, e.g. 5,10,20.")
+@click.option("--k-values", required=True, help="Comma-separated, strictly ascending k values of at least 1, e.g. 5,10,20.")
 def cmd_sweep(config_path: str, k_values: str) -> None:
     """Run the top-k sweep and write a plot-ready CSV."""
     cfg = _load_config(config_path)
     try:
         ks = [int(v) for v in k_values.split(",")]
-    except ValueError:
-        click.echo("config error: --k-values must be integers", err=True)
+        sweep_settings(_setting(cfg), ks)
+    except ValueError as exc:
+        click.echo(f"config error: --k-values {k_values}: {exc}", err=True)
         sys.exit(EXIT_CONFIG_ERROR)
     if not cfg.dataset_path:
         click.echo("config error: sweep needs dataset_path", err=True)
@@ -232,7 +237,10 @@ def cmd_sweep(config_path: str, k_values: str) -> None:
         (out_dir / "sweep.csv").write_text(sweep_csv(reports), encoding="utf-8")
         for rep in reports:
             click.echo(f"k={rep.setting.top_k}: accuracy {rep.accuracy:.2f}")
-    except (RagmarkError, ValueError) as exc:
+    except MissingSource as exc:
+        click.echo(f"config error: {exc}", err=True)
+        sys.exit(EXIT_CONFIG_ERROR)
+    except RagmarkError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_RUN_ERROR)
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import base64
 import hashlib
+import math
 import os
 import threading
 from dataclasses import dataclass
@@ -357,12 +358,79 @@ class EmbeddingProvider:
         raise NotImplementedError
 
 
+def _hash_constants(init: int, mult: int, n: int) -> list[int]:
+    """The first `n` values of a SeedSequence hash constant: `init`, then times `mult` mod 2**32."""
+    out = [init]
+    for _ in range(n - 1):
+        out.append(out[-1] * mult & 0xFFFFFFFF)
+    return out
+
+
+def _column(values: Sequence[int]) -> np.ndarray:
+    return np.array(values, dtype=np.uint32)[:, None]
+
+
+# NumPy's SeedSequence (pool size 4) hashes every word with the next value of a
+# running constant that does not depend on the data: INIT_A/MULT_A while it
+# fills and mixes the pool (4 + 12 words), INIT_B/MULT_B while it draws from it.
+_A = _hash_constants(0x43B0D7E5, 0x931E8875, 17)
+_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 9)
+_FILL_XOR, _FILL_MUL = _column(_A[0:4]), _column(_A[1:5])
+_MIX_XOR = [_column(_A[4 + 3 * s : 7 + 3 * s]) for s in range(4)]
+_MIX_MUL = [_column(_A[5 + 3 * s : 8 + 3 * s]) for s in range(4)]
+_DRAW_XOR, _DRAW_MUL = _column(_B[0:8]), _column(_B[1:9])
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M128 = (1 << 128) - 1
+
+
+def _xorshift(v: np.ndarray) -> np.ndarray:
+    v ^= v >> np.uint32(16)
+    return v
+
+
+def _pcg64_states(seeds: np.ndarray) -> list[tuple[int, int]]:
+    """`(state, inc)` of `np.random.PCG64(seed)` for each seed of the `uint64` array `seeds`.
+
+    NumPy's `SeedSequence(seed).generate_state(4, np.uint64)` run on the whole
+    batch at once as `uint32` array arithmetic, one array per pool word, then
+    `pcg_setseq_128_srandom_r` on those words in Python ints. A seed is two
+    32-bit words, low first; a seed below 2**32 is one, and pads the pool with
+    `hashmix(0)`, which is what its zero high word gives.
+    """
+    pool = np.zeros((4, len(seeds)), dtype=np.uint32)
+    pool[0] = seeds & np.uint64(0xFFFFFFFF)
+    pool[1] = seeds >> np.uint64(32)
+    pool ^= _FILL_XOR
+    pool *= _FILL_MUL
+    _xorshift(pool)
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        hashed = _xorshift((pool[src] ^ _MIX_XOR[src]) * _MIX_MUL[src])
+        pool[dst] = _xorshift(_MIX_MULT_L * pool[dst] - _MIX_MULT_R * hashed)
+    words = np.concatenate([pool, pool]) ^ _DRAW_XOR
+    words *= _DRAW_MUL
+    words = _xorshift(words).astype(np.uint64)
+    state_hi, state_lo, seq_hi, seq_lo = (words[0::2] | words[1::2] << np.uint64(32)).tolist()
+    states = []
+    for s_hi, s_lo, q_hi, q_lo in zip(state_hi, state_lo, seq_hi, seq_lo):
+        inc = (q_hi << 65 | q_lo << 1 | 1) & _M128
+        states.append(((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc & _M128, inc))
+    return states
+
+
 class OfflineEmbeddingProvider(EmbeddingProvider):
     """Deterministic provider: unit vector from sha256(seed, surface).
 
     A pure function of (seed, term surface, dimension); distinct surfaces get
     near-orthogonal vectors at moderate dimension, so only identical surfaces
     exceed a 0.98 soft-match threshold.
+
+    The vector of a term is `np.random.default_rng(s).standard_normal(dim)`
+    divided by its norm, where `s` is the first 8 bytes of
+    `sha256(f"{seed}:{term}")` read big-endian. A batch is seeded in one pass:
+    `_pcg64_states` gives every term's generator state at once, and each row is
+    drawn from one generator set to it.
     """
 
     def __init__(
@@ -381,11 +449,16 @@ class OfflineEmbeddingProvider(EmbeddingProvider):
         return self._dimension
 
     def _fetch(self, batch: list[str]) -> np.ndarray:
+        prefixes = (hashlib.sha256(f"{self.seed}:{t}".encode("utf-8")).digest()[:8] for t in batch)
+        seeds = np.frombuffer(b"".join(prefixes), dtype=">u8")
+        bits = np.random.PCG64(0)
+        rng = np.random.Generator(bits)
         block = np.empty((len(batch), self._dimension))
-        for term, row in zip(batch, block):
-            digest = hashlib.sha256(f"{self.seed}:{term}".encode("utf-8")).digest()
-            np.random.default_rng(int.from_bytes(digest[:8], "big")).standard_normal(out=row)
-            row /= np.linalg.norm(row)
+        for (state, inc), row in zip(_pcg64_states(seeds), block):
+            pcg = {"state": state, "inc": inc}
+            bits.state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+            rng.standard_normal(out=row)
+            row /= math.sqrt(row.dot(row))  # the float np.linalg.norm(row) gives
         return block
 
 

@@ -29,6 +29,18 @@ class MissingResults(RagmarkError):
     """A record's query id has no entry in the precomputed retrieval results."""
 
 
+class MissingSource(RagmarkError):
+    """A setting's retrieval mode needs a source the run was not given; raised before any record runs."""
+
+
+class MissingBm25Index(MissingSource):
+    """bm25 retrieval was requested with no BM25 index (no `kb_path`)."""
+
+
+class MissingPrecomputedResults(MissingSource):
+    """precomputed-dense retrieval was requested with no precomputed results (no `results_path`)."""
+
+
 class DuplicateId(RagmarkError):
     """Two passages or records share an identifier."""
 

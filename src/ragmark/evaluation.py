@@ -18,7 +18,9 @@ from typing import TYPE_CHECKING, Callable, Sequence
 from .errors import (
     DuplicateId,
     MalformedRecord,
+    MissingBm25Index,
     MissingChoices,
+    MissingPrecomputedResults,
     MissingResults,
     UnknownTemplate,
 )
@@ -48,7 +50,7 @@ class RunSetting:
     retrieval: str = "precomputed-dense"  # "none" | "precomputed-dense" | "bm25"
     highlighting: bool = True
     stepback: bool = True
-    top_k: int | None = 11
+    top_k: int | None = 11  # None: every passage
     context_mode: str = "full"  # "full" | "evidence-only"
     model_family: str = "mistral"
 
@@ -59,6 +61,8 @@ class RunSetting:
             raise ValueError(f"unknown context mode {self.context_mode!r}")
         if not self.highlighting and self.context_mode == "evidence-only":
             raise ValueError("evidence-only context requires highlighting")
+        if self.top_k is not None and self.top_k < 1:
+            raise ValueError(f"top_k must be at least 1, or null for every passage; got {self.top_k}")
 
 
 @dataclass(frozen=True)
@@ -317,13 +321,9 @@ def _evaluate_record(
             context = None
         else:
             if setting.retrieval == "bm25":
-                if handles.bm25_index is None:
-                    raise ValueError("bm25 retrieval requested without an index")
                 k = setting.top_k or handles.bm25_index.n_docs
                 passages = handles.bm25_index.top_k(record.question, k)
             else:
-                if handles.precomputed is None:
-                    raise ValueError("dense retrieval requested without precomputed results")
                 passages = handles.precomputed.get(record.query_id)
                 if passages is None:
                     raise MissingResults(f"no precomputed results for query id {record.query_id!r}")
@@ -363,7 +363,15 @@ def run_setting(
     handles: PipelineHandles,
     baseline: RunReport | None = None,
 ) -> RunReport:
-    """Evaluate every record under one setting; failures count as incorrect."""
+    """Evaluate every record under one setting; failures count as incorrect.
+
+    A retrieval source the setting needs and `handles` lacks raises a
+    `MissingSource` before any record runs.
+    """
+    if setting.retrieval == "bm25" and handles.bm25_index is None:
+        raise MissingBm25Index("bm25 retrieval needs a BM25 index (kb_path)")
+    if setting.retrieval == "precomputed-dense" and handles.precomputed is None:
+        raise MissingPrecomputedResults("precomputed-dense retrieval needs precomputed results (results_path)")
     with ThreadPoolExecutor(max_workers=handles.max_workers) as pool:
         outcomes = list(pool.map(lambda r: _evaluate_record(r, setting, handles), records))
     outcomes.sort(key=lambda o: o.query_id)
@@ -385,9 +393,14 @@ def topk_sweep(
     handles: PipelineHandles,
 ) -> list[RunReport]:
     """One report per k, ascending; rows feed a plot-ready CSV."""
-    if not k_values or list(k_values) != sorted(k_values):
-        raise ValueError("k_values must be non-empty and ascending")
-    return [run_setting(records, replace(setting, top_k=k), handles) for k in k_values]
+    return [run_setting(records, s, handles) for s in sweep_settings(setting, k_values)]
+
+
+def sweep_settings(setting: RunSetting, k_values: Sequence[int]) -> list[RunSetting]:
+    """`setting` at each k; ValueError unless the k are non-empty, strictly ascending and at least 1."""
+    if not k_values or any(a >= b for a, b in zip(k_values, k_values[1:])):
+        raise ValueError(f"k values must be non-empty and strictly ascending; got {list(k_values)}")
+    return [replace(setting, top_k=k) for k in k_values]
 
 
 def sweep_csv(reports: Sequence[RunReport]) -> str:
