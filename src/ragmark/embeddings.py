@@ -14,9 +14,9 @@ built only when one is looked up. A provider's `_fetch` returns a batch as one
 `(len(batch), dim)` float64 block, which goes into the rows in one copy and
 into the cache file in one write. Vectors are cached in an append-only JSONL
 file, one record per term with the exact float64 bits in base64, which load
-straight into rows. A torn last line (crash mid-write) is repaired on open,
-so later appends start on a fresh line, and any other corrupt record is
-skipped on load.
+into rows as one block per dimension. A torn last line (crash mid-write) is
+repaired on open, so later appends start on a fresh line, and any other
+corrupt record is skipped on load.
 """
 
 from __future__ import annotations
@@ -98,62 +98,40 @@ class ProviderConfig:
 class _Rows:
     """The vectors of one dimension as the rows of a growing float64 array, with the rows' norms.
 
-    Rows are only appended, and growing copies them into new arrays, so the
-    arrays `arrays()` returned stay valid for the rows they held. The norms of
-    the rows added since the last `arrays()` are computed there, as one
-    `np.linalg.norm(block, axis=1)`: the same floats a matrix of any other
-    rows holding them gives.
+    Rows arrive only as blocks, through `extend`, which computes the new rows'
+    norms as it stores them: one `np.linalg.norm(rows, axis=1)`, the same floats
+    a matrix of any other rows holding them gives. Growing copies the rows into
+    new arrays, and `arrays` is replaced as one `(data, norms)` tuple once the
+    rows and their norms are written, so readers take no lock: the arrays they
+    hold stay valid for the rows they held.
     """
 
     def __init__(self, dim: int):
         self.dim = dim
         self._lock = threading.Lock()
-        self._data = np.empty((16, dim))
-        self._norms = np.empty(16)
+        self.arrays = (np.empty((16, dim)), np.empty(16))
         self._n = 0
-        self._normed = 0
-
-    def _reserve(self, end: int) -> None:
-        """Grow to hold `end` rows; called under the lock."""
-        if end > len(self._data):
-            n, size = self._n, max(2 * len(self._data), end)
-            data, norms = np.empty((size, self.dim)), np.empty(size)
-            data[:n], norms[:n] = self._data[:n], self._norms[:n]
-            self._data, self._norms = data, norms
-
-    def append(self, values: Sequence[float]) -> int:
-        with self._lock:
-            n = self._n
-            self._reserve(n + 1)
-            self._data[n] = values
-            self._n = n + 1
-            return n
 
     def extend(self, block: np.ndarray) -> int:
         """Append the rows of the 2-D `block` in one copy; the index of the first."""
         with self._lock:
+            data, norms = self.arrays
             n, end = self._n, self._n + len(block)
-            self._reserve(end)
-            self._data[n:end] = block
+            if end > len(data):
+                size = max(2 * len(data), end)
+                data, norms = np.empty((size, self.dim)), np.empty(size)
+                data[:n], norms[:n] = self.arrays[0][:n], self.arrays[1][:n]
+            data[n:end] = block
+            with np.errstate(over="ignore", invalid="ignore"):  # an inf or nan row fails only once paired
+                norms[n:end] = np.linalg.norm(data[n:end], axis=1)
+            self.arrays = (data, norms)
             self._n = end
             return n
-
-    def row(self, i: int) -> np.ndarray:
-        return self._data[i]
-
-    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """The row array and the norm array, every row's norm computed."""
-        with self._lock:
-            if self._normed < self._n:
-                block = self._data[self._normed : self._n]
-                self._norms[self._normed : self._n] = np.linalg.norm(block, axis=1)
-                self._normed = self._n
-            return self._data, self._norms
 
 
 def _term_vector(surface: str, at: tuple[_Rows, int]) -> TermVector:
     rows, i = at
-    return TermVector(surface, tuple(rows.row(i).tolist()))
+    return TermVector(surface, tuple(rows.arrays[0][i].tolist()))
 
 
 class VectorTable:
@@ -162,8 +140,9 @@ class VectorTable:
     Storing a surface again points it at its new row. Vectors of a dimension
     other than the rest's (a cache written with another model) get rows of
     their own, so only a request that pairs them with the rest fails. Rows are
-    only appended, so readers take no lock; `lock` is held by a provider from
-    its check for missing surfaces until it has stored what it fetched.
+    only appended, a block at a time, so readers take no lock; `lock` is held
+    by a provider from its check for missing surfaces until it has stored what
+    it fetched.
     """
 
     def __init__(self):
@@ -177,14 +156,18 @@ class VectorTable:
             rows = self._by_dim[dim] = _Rows(dim)
         return rows
 
-    def __setitem__(self, surface: str, values: Sequence[float]) -> None:
-        rows = self._rows(len(values))
-        self._at[surface] = (rows, rows.append(values))
-
     def put_rows(self, surfaces: Sequence[str], block: np.ndarray) -> None:
         """Store row i of the `(len(surfaces), dim)` `block` as the vector of `surfaces[i]`."""
         rows = self._rows(block.shape[1])
         self._at.update((s, (rows, i)) for i, s in enumerate(surfaces, rows.extend(block)))
+
+    def put_all(self, vectors: Mapping[str, Sequence[float]]) -> None:
+        """Store each surface's vector, with one block per dimension."""
+        by_dim: dict[int, dict[str, Sequence[float]]] = {}
+        for surface, values in vectors.items():
+            by_dim.setdefault(len(values), {})[surface] = values
+        for held in by_dim.values():
+            self.put_rows(list(held), np.array(list(held.values()), dtype=np.float64))
 
     def __contains__(self, surface: object) -> bool:
         return surface in self._at
@@ -215,10 +198,9 @@ class VectorView(Mapping[str, TermVector]):
         """`vectors` itself if it is a view, else the vectors it has for `surfaces` copied into a table."""
         if isinstance(vectors, VectorView):
             return vectors
+        held = {s: vectors[s].values for s in surfaces if s in vectors}
         table = VectorTable()
-        held = [s for s in dict.fromkeys(surfaces) if s in vectors]
-        for s in held:
-            table[s] = vectors[s].values
+        table.put_all(held)
         return table.view(held)
 
     def __getitem__(self, surface: str) -> TermVector:
@@ -250,7 +232,7 @@ class VectorView(Mapping[str, TermVector]):
         blocks = {rows for rows, _ in at}
         if len(blocks) > 1:
             raise DimensionMismatch(f"term vectors of dimensions {sorted(b.dim for b in blocks)}")
-        data, norms = blocks.pop().arrays()
+        data, norms = blocks.pop().arrays
         return data, norms, np.array([i for _, i in at], dtype=np.intp)
 
 
@@ -286,24 +268,27 @@ class VectorCache:
     """Append-only JSONL store of {"term", "dim", "f64"} records, held in memory as a `VectorTable`.
 
     `f64` is the base64 of `dim` little-endian float64 values, so a reload gives
-    back every vector bit for bit; each record is read with `np.frombuffer`
-    straight into a row of `table`.
+    back every vector bit for bit. Each record is read with `np.frombuffer`, and
+    the file's records go into `table` as one block per dimension; a later
+    record for a term wins, also one of another dimension. The file is read
+    only here and is otherwise only appended to.
     """
 
     def __init__(self, path: str | Path):
         self.table = VectorTable()
-        self._store = KeyedJsonl(path, _decode_vector, self.table)
+        self._file = KeyedJsonl(path, _decode_vector)
+        self.table.put_all(dict(self._file.load()))
 
     def get(self, term: str) -> TermVector | None:
-        return self._store.get(term)
+        return self.table.get(term)
 
     def put_rows(self, terms: Sequence[str], block: np.ndarray) -> None:
         """Hold row i of `block` as the vector of `terms[i]` and append the rows' records in one write."""
         self.table.put_rows(terms, block)
-        self._store.append(_encode_rows(terms, block))
+        self._file.append(_encode_rows(terms, block))
 
     def __len__(self) -> int:
-        return len(self._store)
+        return len(self.table)
 
 
 class EmbeddingProvider:

@@ -41,6 +41,10 @@ class MissingPrecomputedResults(MissingSource):
     """precomputed-dense retrieval was requested with no precomputed results (no `results_path`)."""
 
 
+class MissingEmbeddingProvider(MissingSource):
+    """A highlighting setting with retrieval was given no embedding provider to score evidence with."""
+
+
 class DuplicateId(RagmarkError):
     """Two passages or records share an identifier."""
 

@@ -20,6 +20,7 @@ from .errors import (
     MalformedRecord,
     MissingBm25Index,
     MissingChoices,
+    MissingEmbeddingProvider,
     MissingPrecomputedResults,
     MissingResults,
     UnknownTemplate,
@@ -365,13 +366,15 @@ def run_setting(
 ) -> RunReport:
     """Evaluate every record under one setting; failures count as incorrect.
 
-    A retrieval source the setting needs and `handles` lacks raises a
-    `MissingSource` before any record runs.
+    A retrieval source or an embedding provider the setting needs and
+    `handles` lacks raises a `MissingSource` before any record runs.
     """
     if setting.retrieval == "bm25" and handles.bm25_index is None:
         raise MissingBm25Index("bm25 retrieval needs a BM25 index (kb_path)")
     if setting.retrieval == "precomputed-dense" and handles.precomputed is None:
         raise MissingPrecomputedResults("precomputed-dense retrieval needs precomputed results (results_path)")
+    if setting.highlighting and setting.retrieval != "none" and handles.embedding_provider is None:
+        raise MissingEmbeddingProvider("highlighting needs an embedding provider")
     with ThreadPoolExecutor(max_workers=handles.max_workers) as pool:
         outcomes = list(pool.map(lambda r: _evaluate_record(r, setting, handles), records))
     outcomes.sort(key=lambda o: o.query_id)

@@ -7,7 +7,7 @@ import json
 import os
 import threading
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterator
 
 from .errors import MalformedRecord, MissingField
 
@@ -86,54 +86,34 @@ def _mistyped(field: str, value: Any, line_no: int, kind: type | tuple[type, ...
 
 
 class KeyedJsonl:
-    """An append-only JSONL file of records, held in memory as key -> value.
+    """An append-only JSONL file of keyed records; its caller holds the values.
 
-    Opening repairs a torn tail, then loads each line `decode` maps to (key, value), later
-    lines winning; a line it rejects with KeyError, TypeError or ValueError is skipped.
-    The values are held in `items`: an empty dict, or another store with `in`,
-    `[key] = value`, `get` and `len`.
+    Opening repairs a torn tail. `load` yields each line's (key, value) as `decode` maps
+    it, in file order, skipping a line it rejects with KeyError, TypeError or ValueError;
+    `append` writes whole record lines.
     """
 
-    def __init__(self, path: str | Path, decode: Callable[[Any], tuple[Any, Any]], items: Any):
+    def __init__(self, path: str | Path, decode: Callable[[Any], tuple[Any, Any]]):
         self.path = Path(path)
+        self._decode = decode
         self._lock = threading.Lock()
         self._dir_made = False
-        self._items = items
         repair_tail(self.path)
-        if self.path.exists():
-            for line in self.path.read_text(encoding="utf-8").splitlines():
-                try:
-                    key, value = decode(json.loads(line))
-                    self._items[key] = value
-                except (KeyError, TypeError, ValueError):
-                    continue
 
-    def get(self, key: Any) -> Any:
-        with self._lock:
-            return self._items.get(key)
-
-    def put_many(self, entries: Iterable[tuple[Any, Any, dict]]) -> None:
-        """Hold each (key, value) whose key is new and append its record; one write per call."""
-        with self._lock:
-            lines = []
-            for key, value, record in entries:
-                if key not in self._items:
-                    self._items[key] = value
-                    lines.append(json.dumps(record) + "\n")
-            self._append("".join(lines))
+    def load(self) -> Iterator[tuple[Any, Any]]:
+        if not self.path.exists():
+            return
+        for line in self.path.read_text(encoding="utf-8").splitlines():
+            try:
+                key, value = self._decode(json.loads(line))
+            except (KeyError, TypeError, ValueError):
+                continue
+            yield key, value
 
     def append(self, lines: str) -> None:
-        """Append whole record lines whose values the caller has put in `items` itself."""
         with self._lock:
-            self._append(lines)
-
-    def _append(self, lines: str) -> None:
-        if not self._dir_made:  # once per store, before its first append
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._dir_made = True
-        with self.path.open("a", encoding="utf-8") as fh:
-            fh.write(lines)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._items)
+            if not self._dir_made:  # once per store, before its first append
+                self.path.parent.mkdir(parents=True, exist_ok=True)
+                self._dir_made = True
+            with self.path.open("a", encoding="utf-8") as fh:
+                fh.write(lines)

@@ -12,7 +12,9 @@ a write-through JSONL reply cache usable around either.
 from __future__ import annotations
 
 import hashlib
+import json
 import os
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -119,19 +121,29 @@ def _decode_reply(rec: dict) -> tuple[str, str]:
 
 
 class ReplyCache:
-    """Append-only JSONL of {model, prompt_hash, prompt, reply}, keyed in memory."""
+    """Append-only JSONL of {model, prompt_hash, prompt, reply}, held in memory as prompt hash -> reply.
+
+    A later line for a prompt wins on load; `put` keeps the reply it already holds.
+    """
 
     def __init__(self, path: str | Path):
-        self._store = KeyedJsonl(path, _decode_reply, {})
+        self._file = KeyedJsonl(path, _decode_reply)
+        self._replies = dict(self._file.load())
+        self._lock = threading.Lock()
 
     def get(self, model: str, prompt: str, key: str | None = None) -> str | None:
         """The cached reply; `key`, when the caller has it, is `_prompt_hash(model, prompt)`."""
-        return self._store.get(key or _prompt_hash(model, prompt))
+        return self._replies.get(key or _prompt_hash(model, prompt))
 
     def put(self, model: str, prompt: str, reply: str, key: str | None = None) -> None:
+        """Hold `reply` and append its record, unless a reply to the prompt is held already."""
         key = key or _prompt_hash(model, prompt)
-        record = {"model": model, "prompt_hash": key, "prompt": prompt, "reply": reply}
-        self._store.put_many([(key, reply, record)])
+        with self._lock:
+            if key in self._replies:
+                return
+            self._replies[key] = reply
+            record = {"model": model, "prompt_hash": key, "prompt": prompt, "reply": reply}
+            self._file.append(json.dumps(record) + "\n")
 
 
 class CachingChatClient:

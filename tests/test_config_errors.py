@@ -1,7 +1,7 @@
 """Settings that cannot run are refused before any record is evaluated.
 
-A retrieval mode whose source is missing raises a `MissingSource` from
-`run_setting`, and `eval`/`sweep` report it as a config error (exit 2) with no
+A retrieval mode whose source is missing, or a highlighting setting with no
+embedding provider, raises a `MissingSource` from `run_setting`, and `eval`/`sweep` report it as a config error (exit 2) with no
 report written. A `top_k` below 1 and k values that are not strictly ascending
 are refused the same way.
 """
@@ -14,7 +14,7 @@ from click.testing import CliRunner
 from ragmark.cli import main
 from ragmark.config import RunConfig
 from ragmark.embeddings import OfflineEmbeddingProvider
-from ragmark.errors import MissingBm25Index, MissingPrecomputedResults, MissingSource
+from ragmark.errors import MissingBm25Index, MissingEmbeddingProvider, MissingPrecomputedResults, MissingSource
 from ragmark.evaluation import EvalRecord, PipelineHandles, RunSetting, run_setting, topk_sweep
 from ragmark.stepback import ReplyCache, StubChatClient
 from ragmark.store import Passage
@@ -44,6 +44,17 @@ def test_a_missing_retrieval_source_raises_before_any_record(retrieval, error):
         run_setting([RECORD], RunSetting(retrieval=retrieval, stepback=False), handles)
     assert isinstance(caught.value, MissingSource)
     assert prompts == [] and handles.embedding_provider.fetch_count == 0
+
+
+def test_highlighting_without_an_embedding_provider_raises_before_any_record():
+    handles, prompts = counting_handles(precomputed=PRECOMPUTED)
+    handles.embedding_provider = None
+    with pytest.raises(MissingEmbeddingProvider) as caught:
+        run_setting([RECORD], RunSetting(stepback=False), handles)
+    assert isinstance(caught.value, MissingSource)
+    assert prompts == []
+    report = run_setting([RECORD], RunSetting(highlighting=False, stepback=False), handles)
+    assert report.accuracy == 100.0 and len(prompts) == 1  # only highlighting needs the provider
 
 
 def test_no_retrieval_needs_no_source():

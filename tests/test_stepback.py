@@ -179,6 +179,19 @@ class TestReplyCache:
         assert reloaded.get("m", "prompt") == "reply"
         assert reloaded.get("m", "other") is None
 
+    def test_a_second_put_for_a_held_prompt_keeps_the_first_reply(self, tmp_path):
+        path = tmp_path / "replies.jsonl"
+        cache = ReplyCache(path)
+        cache.put("m", "prompt", "first")
+        cache.put("m", "prompt", "second")
+        assert cache.get("m", "prompt") == "first"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line)["reply"] for line in lines] == ["first"]
+        assert ReplyCache(path).get("m", "prompt") == "first"
+        with path.open("a", encoding="utf-8") as fh:  # a later line for the prompt wins on load
+            fh.write(lines[0].replace('"first"', '"edited"') + "\n")
+        assert ReplyCache(path).get("m", "prompt") == "edited"
+
     def test_caching_client_calls_inner_once(self, tmp_path):
         inner = StubChatClient("reply", model_name="m")
         client = CachingChatClient(inner, ReplyCache(tmp_path / "r.jsonl"))

@@ -4,11 +4,14 @@ The cosine matrix gathered from a provider's table is, bit for bit, the one
 `oracles.reference_cosine_matrix` builds from `TermVector` tuples, for vectors
 fetched fresh, stored in blocks, and loaded from `f64` cache records. A cache
 whose records are odd (another dimension, a zero vector) fails only the
-requests that pair them, with `DimensionMismatch` or `ZeroVector`.
+requests that pair them, with `DimensionMismatch` or `ZeroVector`. Views
+taken before a writer grows the rows gather the same matrix while it does.
 """
 
 import json
+import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -166,3 +169,53 @@ def test_a_cached_zero_vector_raises_once_it_forms_a_pair(tmp_path):
         select_evidence(DESERTS, [PASSAGES[1]], provider)
     clean = OfflineEmbeddingProvider(dimension=16)
     assert select_evidence(BATS, [PASSAGES[0]], provider) == select_evidence(BATS, [PASSAGES[0]], clean)
+
+
+# --- readers take no lock while a writer grows the rows ------------------------
+
+
+def test_held_views_gather_the_reference_matrix_while_a_writer_grows_the_rows():
+    # Batches of 7 grow the rows from 16 to 1024, reallocating them six times, while the
+    # readers gather from views they took earlier and take no lock to do it.
+    words = [f"w{i}" for i in range(600)]
+    chunks = [words[i : i + 20] for i in range(0, len(words), 20)]
+    reference = OfflineEmbeddingProvider(dimension=16).embed_terms(words)
+    want = [reference_cosine_matrix(chunk, chunk, reference) for chunk in chunks]
+    provider = OfflineEmbeddingProvider(dimension=16, batch_size=7)
+    stored = [provider.embed_terms(chunks[0])]  # a view per chunk, in the writer's order
+    start = threading.Barrier(4)
+    writing = threading.Event()
+    writing.set()
+    gathered: dict[int, list] = {i: [] for i in range(3)}  # per reader: True per equal matrix
+
+    def write() -> None:
+        start.wait(timeout=30)
+        for chunk in chunks[1:]:
+            stored.append(provider.embed_terms(chunk))
+        writing.clear()
+
+    def read(r: int) -> None:
+        start.wait(timeout=30)
+        while writing.is_set():
+            held = list(stored)
+            for i in (0, len(held) - 1):
+                try:
+                    gathered[r].append(np.array_equal(_cosine_matrix(chunks[i], chunks[i], held[i]), want[i]))
+                except Exception as exc:  # reported by the assert below
+                    gathered[r].append(exc)
+
+    threads = [threading.Thread(target=write)] + [threading.Thread(target=read, args=(r,)) for r in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside the writer's growth steps
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(provider.table) == len(words) and provider.fetch_count == len(words)
+    assert provider.table.view(words[:1]).gather(words[:1])[0].shape == (1024, 16)
+    assert all(len(results) >= 10 for results in gathered.values()), {r: len(v) for r, v in gathered.items()}
+    assert [ok for results in gathered.values() for ok in results if ok is not True] == []
