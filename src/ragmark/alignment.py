@@ -7,9 +7,10 @@ once any selected evidence term exceeds a similarity threshold M.
 
 All scoring goes through `MaxSimScorer`, which takes the cosines of one set
 of terms against a sentence pool as a single matrix product and reduces it
-to a term x sentence MaxSim matrix. A chain's rankings are then row sums of
-that matrix, and its coverage a running max over the columns it selected.
-The vectors are gathered by row index from the provider's `VectorTable`.
+to a term x sentence MaxSim matrix, addressed by row id. A ranking is a sum
+of rows of that matrix, and the coverage of evidence is the union of its
+sentences' cover sets, each read from one column of it. The vectors are
+gathered by row index from the provider's `VectorTable`.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 # `cosine` stays importable from here as the scalar definition the matrix reproduces.
 from .embeddings import TermVector, VectorView, cosine  # noqa: F401
 from .errors import ZeroVector
-from .text import SentenceSpan, Term, content_surfaces
+from .text import SentenceSpan, Term
 
 
 @dataclass(frozen=True)
@@ -81,8 +82,7 @@ class MaxSimScorer:
         row_surfaces: Iterable[str],
     ):
         self.pool = tuple(pool)
-        self._surfaces = [content_surfaces(span) for span in self.pool]
-        cols = sorted(set().union(*self._surfaces))
+        cols = sorted(set().union(*(span.content for span in self.pool)))
         rows = sorted(set(row_surfaces))
         self._row = {s: i for i, s in enumerate(rows)}
         sim = _cosine_matrix(rows, cols, vectors)
@@ -91,17 +91,18 @@ class MaxSimScorer:
         # one max; a sentence without content terms keeps 0.
         col_index = {s: i for i, s in enumerate(cols)}
         by_width: dict[int, list[int]] = {}
-        for pos, surfaces in enumerate(self._surfaces):
-            if surfaces:
-                by_width.setdefault(len(surfaces), []).append(pos)
+        for pos, span in enumerate(self.pool):
+            if span.content:
+                by_width.setdefault(len(span.content), []).append(pos)
         best = np.zeros((len(rows), len(self.pool)))
         if rows:
             for positions in by_width.values():
-                idx = [[col_index[s] for s in self._surfaces[p]] for p in positions]
+                idx = [[col_index[s] for s in self.pool[p].content] for p in positions]
                 best[:, positions] = sim[:, idx].max(axis=2)
         # max(0.0, cosine): a term never contributes a negative similarity.
         self._best = np.where(best > 0.0, best, 0.0)
         self._rankings: dict[tuple[str, ...], np.ndarray] = {}
+        self._covers: dict[tuple[frozenset[str], float, int], frozenset[str]] = {}
 
     @classmethod
     def for_queries(
@@ -115,21 +116,21 @@ class MaxSimScorer:
         terms. No rows (and no vector lookups) when every query is empty."""
         rows = {t.surface for terms in queries for t in terms}
         if rows:
-            rows.update(*(content_surfaces(span) for span in pool))
+            rows.update(*(span.content for span in pool))
         return cls(pool, vectors, rows)
 
-    def _rows(self, surfaces: Iterable[str]) -> list[int]:
+    def rows(self, surfaces: Iterable[str]) -> list[int]:
+        """The row id of each surface; ValueError for a surface that is not a row."""
         try:
-            return [self._row[s] for s in surfaces]
+            return list(map(self._row.__getitem__, surfaces))
         except KeyError as exc:
             raise ValueError(f"term {exc.args[0]!r} is not a row of this scorer") from None
 
-    def scores(self, surfaces: Sequence[str]) -> np.ndarray:
-        """Alignment score of every pool sentence against a term sequence.
+    def scores(self, rows: Sequence[int]) -> np.ndarray:
+        """Alignment score of every pool sentence against the terms of a row id sequence.
 
-        Repeated surfaces count once per occurrence, as in `align_score`.
+        A repeated row counts once per occurrence, as in `align_score`.
         """
-        rows = self._rows(surfaces)
         if not rows:
             return np.zeros(len(self.pool))
         total = self._best[rows[0]].copy()
@@ -147,15 +148,32 @@ class MaxSimScorer:
         order = self._rankings.get(key)
         if order is not None:
             return order, 0
-        order = np.argsort(-self.scores(key), kind="stable")
+        order = np.argsort(-self.scores(self.rows(key)), kind="stable")
         self._rankings[key] = order
         return order, len(self.pool)
 
-    def alignment(self, surfaces: Sequence[str], pos: int) -> AlignmentScore:
-        """The `AlignmentScore` of the sentence at pool position `pos`."""
-        per_term = {s: float(self._best[r, pos]) for s, r in zip(surfaces, self._rows(surfaces))}
-        score = sum(per_term[s] for s in surfaces)
-        return AlignmentScore(sentence=self.pool[pos], score=score, per_term=per_term)
+    def alignment(self, surfaces: Sequence[str], rows: Sequence[int], pos: int) -> AlignmentScore:
+        """The `AlignmentScore` of the sentence at pool position `pos`; `rows` are the surfaces' row ids."""
+        values = self._best[rows, pos].tolist()
+        per_term = dict(zip(surfaces, values))
+        return AlignmentScore(sentence=self.pool[pos], score=sum(values), per_term=per_term)
+
+    def cover(self, query: frozenset[str], threshold: float, pos: int) -> frozenset[str]:
+        """The surfaces of `query` that the sentence at pool position `pos` covers at `threshold`.
+
+        Those it contains verbatim, and those with a row whose MaxSim against
+        it is strictly greater than `threshold`; evidence covers the union of
+        its sentences' sets. Each set is kept for the life of the scorer.
+        """
+        key = (query, threshold, pos)
+        cover = self._covers.get(key)
+        if cover is None:
+            rows = {s: self._row[s] for s in query if s in self._row}
+            values = self._best[list(rows.values()), pos].tolist()
+            above = [s for s, b in zip(rows, values) if b > threshold]
+            cover = query.intersection(self.pool[pos].content).union(above)
+            self._covers[key] = cover
+        return cover
 
     def coverage(
         self, query_surfaces: Iterable[str], positions: Sequence[int], threshold: float
@@ -166,43 +184,14 @@ class MaxSimScorer:
         > M for any M <= 1) or when its best cosine against an evidence
         content term is strictly greater than `threshold`.
         """
-        return RunningCoverage(self, query_surfaces, threshold).add(positions)
-
-
-class RunningCoverage:
-    """`MaxSimScorer.coverage` of one query by evidence that only grows, as a chain's does.
-
-    Each added pool position folds its column of the MaxSim matrix into a
-    running max per query surface, so a hop costs one column instead of a
-    gather over every selected sentence. `evidence` is the union of the added
-    sentences' content surfaces.
-    """
-
-    def __init__(self, scorer: MaxSimScorer, query_surfaces: Iterable[str], threshold: float):
         if not 0.0 < threshold <= 1.0:
             raise ValueError("threshold must be in (0, 1]")
-        self._query = frozenset(query_surfaces)
-        self._threshold = threshold
-        self.evidence: set[str] = set()
-        self._scorer = scorer
-        # Only surfaces with a row can be covered by a cosine; the rest must be found verbatim.
-        self._rowed = sorted(s for s in self._query if s in scorer._row)
-        self._unrowed = self._query.difference(self._rowed)
-        self._rows = np.array([scorer._row[s] for s in self._rowed], dtype=np.intp)
-        self._best = np.zeros(len(self._rowed))
-
-    def add(self, positions: Iterable[int]) -> CoverageState:
-        """Add the sentences at `positions` to the evidence; the coverage of all added so far."""
-        scorer = self._scorer
-        positions = list(positions)
-        for p in positions:
-            self.evidence |= scorer._surfaces[p]
-            np.maximum(self._best, scorer._best[self._rows, p], out=self._best)
-        covered = self._query & self.evidence
-        if positions and self._unrowed - covered:
-            raise ValueError(f"term {min(self._unrowed - covered)!r} is not a row of this scorer")
-        covered = covered.union(s for s, b in zip(self._rowed, self._best) if b > self._threshold)
-        return CoverageState(covered=covered, remainder=self._query - covered, threshold=self._threshold)
+        query = frozenset(query_surfaces)
+        covered = frozenset().union(*[self.cover(query, threshold, p) for p in positions])
+        unrowed = query.difference(self._row, covered)
+        if positions and unrowed:
+            raise ValueError(f"term {min(unrowed)!r} is not a row of this scorer")
+        return CoverageState(covered=covered, remainder=query - covered, threshold=threshold)
 
 
 def align_score(
@@ -217,7 +206,8 @@ def align_score(
     term contributes 0 when the sentence has no content terms.
     """
     surfaces = [t.surface for t in query_terms]
-    return MaxSimScorer((sentence,), vectors, surfaces).alignment(surfaces, 0)
+    scorer = MaxSimScorer((sentence,), vectors, surfaces)
+    return scorer.alignment(surfaces, scorer.rows(surfaces), 0)
 
 
 def coverage(
@@ -233,6 +223,6 @@ def coverage(
     """
     if not 0.0 < threshold <= 1.0:
         raise ValueError("threshold must be in (0, 1]")
-    evidence_surfaces = set().union(*(content_surfaces(span) for span in evidence))
+    evidence_surfaces = set().union(*(span.content for span in evidence))
     scorer = MaxSimScorer(evidence, vectors, set(query_surfaces) - evidence_surfaces)
     return scorer.coverage(query_surfaces, range(len(evidence)), threshold)

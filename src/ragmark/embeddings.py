@@ -172,6 +172,9 @@ class VectorTable:
     def __contains__(self, surface: object) -> bool:
         return surface in self._at
 
+    def missing(self, surfaces: Iterable[str]) -> list[str]:
+        return sorted(set(surfaces).difference(self._at))
+
     def __len__(self) -> int:
         return len(self._at)
 
@@ -312,9 +315,8 @@ class EmbeddingProvider:
         wanted = set(terms)
         if "" in wanted:
             raise ValueError("cannot embed an empty term")
-        unique = sorted(wanted)
         with self.table.lock:
-            missing = [t for t in unique if t not in self.table]
+            missing = self.table.missing(wanted)
             for i in range(0, len(missing), self.batch_size):
                 batch = missing[i : i + self.batch_size]
                 block = self._fetch(batch)
@@ -324,7 +326,7 @@ class EmbeddingProvider:
                     self.cache.put_rows(batch, block)
                 else:
                     self.table.put_rows(batch, block)
-        return self.table.view(unique)
+        return self.table.view(sorted(wanted))
 
     def _validate(self, batch: list[str], block: np.ndarray) -> None:
         want = (len(batch), self.dimension)

@@ -111,9 +111,14 @@ class KeyedJsonl:
             yield key, value
 
     def append(self, lines: str) -> None:
+        data = memoryview(lines.encode("utf-8"))
         with self._lock:
             if not self._dir_made:  # once per store, before its first append
                 self.path.parent.mkdir(parents=True, exist_ok=True)
                 self._dir_made = True
-            with self.path.open("a", encoding="utf-8") as fh:
-                fh.write(lines)
+            fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+            try:
+                while data:  # a write may take fewer bytes than it was given
+                    data = data[os.write(fd, data) :]
+            finally:
+                os.close(fd)

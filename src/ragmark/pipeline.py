@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .alignment import MaxSimScorer
 from .embeddings import EmbeddingProvider, TermVector
@@ -11,7 +11,7 @@ from .highlight import HighlightedDocument, highlight
 from .retriever import EvidenceChain, RetrieverParams, collect_evidence, retrieve_parallel_chains
 from .stepback import ChatClient, ConjoinedQuery, conjoin, expand_query, stepback_choice_concepts
 from .store import Passage, sentence_pool
-from .text import SentenceSpan, content_surfaces
+from .text import SentenceSpan
 
 
 @dataclass(frozen=True)
@@ -45,12 +45,9 @@ def gather_vectors(
     queries: Sequence[ConjoinedQuery],
     pool: Sequence[SentenceSpan],
     provider: EmbeddingProvider,
-) -> dict[str, TermVector]:
-    surfaces: set[str] = set()
-    for q in queries:
-        surfaces |= {t.surface for t in q.terms}
-    for span in pool:
-        surfaces |= content_surfaces(span)
+) -> Mapping[str, TermVector]:
+    query_surfaces = ([t.surface for t in q.terms] for q in queries)
+    surfaces = set().union(*query_surfaces, *(span.content for span in pool))
     return provider.embed_terms(surfaces)
 
 

@@ -4,7 +4,9 @@ One chain: pick a seed sentence by alignment score against the full query,
 then repeatedly re-score the remaining sentences against the query terms not
 yet covered (expanding with already-selected evidence terms when few remain)
 until the query is fully covered, the hop cap is hit, or the pool is empty.
-N parallel chains vary only the rank of the seed sentence.
+N parallel chains vary only the rank of the seed sentence. A chain works on
+the row ids of one `MaxSimScorer`: a hop's ranking is a sum of its rows, and
+the selected sentence's cover set leaves the remainder.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 # `align_score` and `coverage` stay importable from here: they are the
 # per-sentence definitions of what `MaxSimScorer` computes for a whole pool.
-from .alignment import AlignmentScore, MaxSimScorer, RunningCoverage, align_score, coverage  # noqa: F401
+from .alignment import AlignmentScore, MaxSimScorer, align_score, coverage  # noqa: F401
 from .embeddings import TermVector
 from .errors import EmptyCandidatePool
 from .text import SentenceSpan, Term
@@ -34,6 +36,8 @@ class RetrieverParams:
             raise ValueError("n_parallel and k_max_hops must be positive")
         if self.t_ambiguity < 0:
             raise ValueError("t_ambiguity must be non-negative")
+        if not 0.0 < self.m_threshold <= 1.0:  # also rejects NaN
+            raise ValueError("m_threshold must be in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -84,21 +88,23 @@ def retrieve_chain(
         raise ValueError("scorer was built for a different candidate pool")
 
     query_surfaces = [t.surface for t in query_terms]
-    selected: list[int] = []
-    hops: list[Hop] = []
-
     ranked, scoring_calls = scorer.ranking(query_surfaces)
-    cover = RunningCoverage(scorer, query_surfaces, params.m_threshold)
+    query = frozenset(query_surfaces)
     pick = int(ranked[min(first_pick_rank, len(ranked)) - 1])
     working = query_surfaces
+    rows = scorer.rows(query_surfaces)
+    remainder = query
+    evidence: set[str] = set()  # the content surfaces of every selected sentence
+    selected: list[int] = []
+    hops: list[Hop] = []
     while True:
         selected.append(pick)
-        remainder = cover.add((pick,)).remainder
+        remainder -= scorer.cover(query, params.m_threshold, pick)
         hops.append(
             Hop(
                 hop_index=len(hops) + 1,
                 sentence=candidates[pick],
-                score=scorer.alignment(working, pick),
+                score=scorer.alignment(working, rows, pick),
                 remainder_after=remainder,
             )
         )
@@ -109,13 +115,13 @@ def retrieve_chain(
         if len(selected) == len(candidates):
             return EvidenceChain(tuple(hops), "no-candidates", scoring_calls)
 
-        # cover.evidence: the content surfaces of every selected sentence
-        working = sorted(remainder | cover.evidence if len(remainder) < params.t_ambiguity else remainder)
-
-        scores = scorer.scores(working)
+        evidence |= candidates[pick].content
+        working = sorted(remainder | evidence if len(remainder) < params.t_ambiguity else remainder)
+        rows = scorer.rows(working)
+        scores = scorer.scores(rows)
         scores[selected] = -np.inf
         scoring_calls += len(candidates) - len(selected)
-        pick = int(np.argmax(scores))  # first maximum: the lowest pool position
+        pick = int(scores.argmax())  # first maximum: the lowest pool position
 
 
 def retrieve_parallel_chains(

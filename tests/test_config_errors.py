@@ -16,6 +16,7 @@ from ragmark.config import RunConfig
 from ragmark.embeddings import OfflineEmbeddingProvider
 from ragmark.errors import MissingBm25Index, MissingEmbeddingProvider, MissingPrecomputedResults, MissingSource
 from ragmark.evaluation import EvalRecord, PipelineHandles, RunSetting, run_setting, topk_sweep
+from ragmark.retriever import RetrieverParams
 from ragmark.stepback import ReplyCache, StubChatClient
 from ragmark.store import Passage
 
@@ -136,3 +137,23 @@ def test_cli_top_k_zero_in_the_config_is_a_config_error(runner, tmp_path, comman
     result = runner.invoke(main, [command[0], "--config", str(cfg_path), *command[1:]])
     assert result.exit_code == 2, result.output
     assert "config error: " in result.output and "top_k" in result.output
+
+
+@pytest.mark.parametrize("m_threshold", [0.0, -0.5, 1.5, float("nan")])
+def test_m_threshold_outside_zero_one_is_rejected(m_threshold):
+    with pytest.raises(ValueError, match="m_threshold"):
+        RetrieverParams(m_threshold=m_threshold)
+
+
+def test_m_threshold_of_one_is_accepted():
+    assert RetrieverParams(m_threshold=1.0).m_threshold == 1.0
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("m_threshold", [1.5, float("nan")])
+def test_cli_m_threshold_outside_zero_one_in_the_config_is_a_config_error(runner, tmp_path, command, m_threshold):
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps({"dataset_path": str(tmp_path / "dataset.jsonl"), "retriever": {"m_threshold": m_threshold}}))
+    result = runner.invoke(main, [command[0], "--config", str(cfg_path), *command[1:]])
+    assert result.exit_code == 2, result.output
+    assert "config error: " in result.output and "m_threshold" in result.output
