@@ -6,7 +6,9 @@ import dataclasses
 import json
 import math
 import sys
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Callable, Iterator, NoReturn
 
 import click
 
@@ -38,13 +40,28 @@ EXIT_RUN_ERROR = 1
 EXIT_CONFIG_ERROR = 2
 
 
+def _fail(message: str, code: int = EXIT_CONFIG_ERROR) -> NoReturn:
+    click.echo(message, err=True)
+    sys.exit(code)
+
+
+@contextmanager
+def _exit_codes() -> Iterator[None]:
+    """A `MissingSource` ends the command as a config error, any other `RagmarkError` as a run error."""
+    try:
+        yield
+    except MissingSource as exc:
+        _fail(f"config error: {exc}")
+    except RagmarkError as exc:
+        _fail(f"error: {exc}", EXIT_RUN_ERROR)
+
+
 def _load_config(config_path: str | None, **overrides) -> RunConfig:
     try:
         cfg = RunConfig.load(config_path) if config_path else RunConfig()
         return dataclasses.replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
     except (OSError, ValueError, TypeError, json.JSONDecodeError) as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG_ERROR)
+        _fail(f"config error: {exc}")
 
 
 def _baseline_accuracy(baseline_path: str) -> float:
@@ -52,17 +69,19 @@ def _baseline_accuracy(baseline_path: str) -> float:
     try:
         base = json.loads(Path(baseline_path).read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
-        click.echo(f"config error: baseline {baseline_path}: {exc}", err=True)
-        sys.exit(EXIT_CONFIG_ERROR)
+        _fail(f"config error: baseline {baseline_path}: {exc}")
     accuracy = base.get("accuracy") if isinstance(base, dict) else None
     if type(accuracy) not in (int, float) or not math.isfinite(accuracy):  # bool is not a number here
-        click.echo(f"config error: baseline {baseline_path} has no numeric accuracy", err=True)
-        sys.exit(EXIT_CONFIG_ERROR)
+        _fail(f"config error: baseline {baseline_path} has no numeric accuracy")
     return float(accuracy)
 
 
-def _chat_client(cfg: RunConfig, model_name: str) -> ChatClient | None:
-    cache = ReplyCache(cfg.reply_cache_path) if cfg.reply_cache_path else None
+def _reply_cache(cfg: RunConfig) -> ReplyCache | None:
+    """The one reply cache that a command's chat clients share."""
+    return ReplyCache(cfg.reply_cache_path) if cfg.reply_cache_path else None
+
+
+def _chat_client(cfg: RunConfig, model_name: str, cache: ReplyCache | None) -> ChatClient | None:
     if cfg.llm_endpoint:
         client = HttpChatClient(LlmClientConfig(endpoint=cfg.llm_endpoint, model_name=model_name))
         return CachingChatClient(client, cache) if cache is not None else client
@@ -72,14 +91,14 @@ def _chat_client(cfg: RunConfig, model_name: str) -> ChatClient | None:
 
 
 def _handles(cfg: RunConfig) -> PipelineHandles:
-    qa = _chat_client(cfg, cfg.qa_model)
+    cache = _reply_cache(cfg)
+    qa = _chat_client(cfg, cfg.qa_model, cache)
     if qa is None:
-        click.echo("config error: eval needs an LLM endpoint or a reply cache", err=True)
-        sys.exit(EXIT_CONFIG_ERROR)
+        _fail(f"config error: {click.get_current_context().info_name} needs an LLM endpoint or a reply cache")
     return PipelineHandles(
         qa_client=qa,
         embedding_provider=cfg.provider.build(),
-        stepback_client=_chat_client(cfg, cfg.stepback_model) if cfg.stepback else None,
+        stepback_client=_chat_client(cfg, cfg.stepback_model, cache) if cfg.stepback else None,
         retriever_params=cfg.retriever,
         bm25_index=build_index(load_passages(cfg.kb_path), cfg.bm25) if cfg.kb_path else None,
         precomputed=load_precomputed_results(cfg.results_path) if cfg.results_path else None,
@@ -90,8 +109,12 @@ def _setting(cfg: RunConfig) -> RunSetting:
     return RunSetting(**{f.name: getattr(cfg, f.name) for f in dataclasses.fields(RunSetting)})
 
 
-def _write_reports(cfg: RunConfig, reports: dict[str, RunReport]) -> Path:
-    """Write the run's config.json once, then `<name>.json` and `<name>.records.jsonl` per report."""
+def _run_reports(cfg: RunConfig, run: Callable[..., dict[str, RunReport]]) -> dict[str, RunReport]:
+    """The path `eval` and `sweep` share: load the dataset, build the handles, take the named reports
+    of `run(records, handles)`, then write config.json and each `<name>.json` and `<name>.records.jsonl`."""
+    if not cfg.dataset_path:
+        _fail(f"config error: {click.get_current_context().info_name} needs dataset_path")
+    reports = run(load_dataset(cfg.dataset_path), _handles(cfg))
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg.save(out_dir / "config.json")
@@ -103,7 +126,7 @@ def _write_reports(cfg: RunConfig, reports: dict[str, RunReport]) -> Path:
             for o in report.outcomes:
                 record = {"query_id": o.query_id, "generation": o.generation, "correct": o.correct, "error": o.error}
                 fh.write(json.dumps(record, sort_keys=True) + "\n")
-    return out_dir
+    return reports
 
 
 @click.group()
@@ -116,7 +139,7 @@ def main() -> None:
 @click.option("--out", "out_path", required=True, type=click.Path(), help="Index output path.")
 def cmd_index(kb_path: str, out_path: str) -> None:
     """Build and persist a BM25 index; print corpus statistics."""
-    try:
+    with _exit_codes():
         passages = load_passages(kb_path)
         index = build_index(passages)
         payload = {
@@ -129,9 +152,6 @@ def cmd_index(kb_path: str, out_path: str) -> None:
         Path(out_path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", "utf-8")
         click.echo(f"indexed {index.n_docs} passages, vocabulary {len(index.doc_freq)}, "
                    f"avg length {index.avg_doc_length:.1f} terms")
-    except RagmarkError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_RUN_ERROR)
 
 
 @main.command("highlight")
@@ -148,9 +168,8 @@ def cmd_highlight(query, config_path, kb_path, out_path, k_max_hops, top_k, no_s
     if k_max_hops is not None:
         cfg = dataclasses.replace(cfg, retriever=dataclasses.replace(cfg.retriever, k_max_hops=k_max_hops))
     if not cfg.kb_path:
-        click.echo("config error: highlight needs --kb or kb_path in the config", err=True)
-        sys.exit(EXIT_CONFIG_ERROR)
-    try:
+        _fail("config error: highlight needs --kb or kb_path in the config")
+    with _exit_codes():
         passages = load_passages(cfg.kb_path)
         index = build_index(passages, cfg.bm25)
         k = cfg.top_k or index.n_docs
@@ -160,7 +179,7 @@ def cmd_highlight(query, config_path, kb_path, out_path, k_max_hops, top_k, no_s
             retrieved,
             cfg.provider.build(),
             cfg.retriever,
-            stepback_client=_chat_client(cfg, cfg.stepback_model) if cfg.stepback else None,
+            stepback_client=_chat_client(cfg, cfg.stepback_model, _reply_cache(cfg)) if cfg.stepback else None,
         )
         record = result.document.to_record(query_id="adhoc")
         if cfg.stepback and result.queries[0].stepback:
@@ -175,9 +194,6 @@ def cmd_highlight(query, config_path, kb_path, out_path, k_max_hops, top_k, no_s
                 f"remainder sizes {sizes}"
             )
         click.echo(f"wrote {out_path} ({result.document.evidence_count} evidence sentences)")
-    except RagmarkError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_RUN_ERROR)
 
 
 @main.command("eval")
@@ -187,18 +203,14 @@ def cmd_highlight(query, config_path, kb_path, out_path, k_max_hops, top_k, no_s
 def cmd_eval(config_path: str, baseline_path: str | None) -> None:
     """Run one evaluation setting and write its report."""
     cfg = _load_config(config_path)
-    if not cfg.dataset_path:
-        click.echo("config error: eval needs dataset_path", err=True)
-        sys.exit(EXIT_CONFIG_ERROR)
     baseline = (
         RunReport(setting=_setting(cfg), outcomes=(), accuracy=_baseline_accuracy(baseline_path))
         if baseline_path else None
     )
-    try:
-        records = load_dataset(cfg.dataset_path)
-        handles = _handles(cfg)
-        report = run_setting(records, _setting(cfg), handles, baseline=baseline)
-        _write_reports(cfg, {"report": report})
+    with _exit_codes():
+        report = _run_reports(cfg, lambda records, handles: {
+            "report": run_setting(records, _setting(cfg), handles, baseline=baseline)
+        })["report"]
         line = f"accuracy: {report.accuracy:.2f} over {len(report.outcomes)} records"
         if report.relative_change is not None:
             line += f" (relative change {report.relative_change:+.2f}%)"
@@ -206,12 +218,6 @@ def cmd_eval(config_path: str, baseline_path: str | None) -> None:
         failures = [o for o in report.outcomes if o.error]
         if failures:
             click.echo(f"{len(failures)} records failed and were scored incorrect", err=True)
-    except MissingSource as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG_ERROR)
-    except RagmarkError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_RUN_ERROR)
 
 
 @main.command("sweep")
@@ -224,25 +230,14 @@ def cmd_sweep(config_path: str, k_values: str) -> None:
         ks = [int(v) for v in k_values.split(",")]
         sweep_settings(_setting(cfg), ks)
     except ValueError as exc:
-        click.echo(f"config error: --k-values {k_values}: {exc}", err=True)
-        sys.exit(EXIT_CONFIG_ERROR)
-    if not cfg.dataset_path:
-        click.echo("config error: sweep needs dataset_path", err=True)
-        sys.exit(EXIT_CONFIG_ERROR)
-    try:
-        records = load_dataset(cfg.dataset_path)
-        handles = _handles(cfg)
-        reports = topk_sweep(records, _setting(cfg), ks, handles)
-        out_dir = _write_reports(cfg, {f"report_k{rep.setting.top_k}": rep for rep in reports})
-        (out_dir / "sweep.csv").write_text(sweep_csv(reports), encoding="utf-8")
-        for rep in reports:
+        _fail(f"config error: --k-values {k_values}: {exc}")
+    with _exit_codes():
+        reports = _run_reports(cfg, lambda records, handles: {
+            f"report_k{rep.setting.top_k}": rep for rep in topk_sweep(records, _setting(cfg), ks, handles)
+        })
+        (Path(cfg.output_dir) / "sweep.csv").write_text(sweep_csv(list(reports.values())), encoding="utf-8")
+        for rep in reports.values():
             click.echo(f"k={rep.setting.top_k}: accuracy {rep.accuracy:.2f}")
-    except MissingSource as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG_ERROR)
-    except RagmarkError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_RUN_ERROR)
 
 
 if __name__ == "__main__":

@@ -23,6 +23,7 @@ from .errors import (
     MissingEmbeddingProvider,
     MissingPrecomputedResults,
     MissingResults,
+    RagmarkError,
     UnknownTemplate,
 )
 from .highlight import HighlightedDocument
@@ -112,6 +113,8 @@ def load_dataset(path: str | Path, task: str | None = None) -> list[EvalRecord]:
             )
         if rec_task not in TASKS:
             raise MalformedRecord(f"line {line_no}: unknown task {rec_task!r}", line_no)
+        if not question.strip():
+            raise MalformedRecord(f"line {line_no}: empty question", line_no)
         if qid in seen:
             raise DuplicateId(f"line {line_no}: duplicate query_id {qid!r}")
         seen.add(qid)
@@ -352,7 +355,7 @@ def _evaluate_record(
             generation=generation,
             correct=inclusion_match(generation, record.gold),
         )
-    except Exception as exc:  # per-record failures never abort the run
+    except RagmarkError as exc:  # this record's failure, scored wrong; any other exception is a bug
         return RecordOutcome(
             query_id=record.query_id, generation="", correct=False, error=f"{type(exc).__name__}: {exc}"
         )
@@ -364,10 +367,11 @@ def run_setting(
     handles: PipelineHandles,
     baseline: RunReport | None = None,
 ) -> RunReport:
-    """Evaluate every record under one setting; failures count as incorrect.
+    """Evaluate every record under one setting; a record's `RagmarkError` scores it incorrect.
 
-    A retrieval source or an embedding provider the setting needs and
-    `handles` lacks raises a `MissingSource` before any record runs.
+    Any other exception propagates. A retrieval source or an embedding
+    provider the setting needs and `handles` lacks raises a `MissingSource`
+    before any record runs.
     """
     if setting.retrieval == "bm25" and handles.bm25_index is None:
         raise MissingBm25Index("bm25 retrieval needs a BM25 index (kb_path)")

@@ -56,9 +56,6 @@ class EvidenceChain:
     # with an earlier chain of the same scorer counts only there.
     scoring_calls: int
 
-    def sentences(self) -> tuple[SentenceSpan, ...]:
-        return tuple(h.sentence for h in self.hops)
-
 
 def retrieve_chain(
     query_terms: Sequence[Term],
