@@ -203,13 +203,10 @@ def cmd_highlight(query, config_path, kb_path, out_path, k_max_hops, top_k, no_s
 def cmd_eval(config_path: str, baseline_path: str | None) -> None:
     """Run one evaluation setting and write its report."""
     cfg = _load_config(config_path)
-    baseline = (
-        RunReport(setting=_setting(cfg), outcomes=(), accuracy=_baseline_accuracy(baseline_path))
-        if baseline_path else None
-    )
+    baseline_accuracy = _baseline_accuracy(baseline_path) if baseline_path else None
     with _exit_codes():
         report = _run_reports(cfg, lambda records, handles: {
-            "report": run_setting(records, _setting(cfg), handles, baseline=baseline)
+            "report": run_setting(records, _setting(cfg), handles, baseline_accuracy=baseline_accuracy)
         })["report"]
         line = f"accuracy: {report.accuracy:.2f} over {len(report.outcomes)} records"
         if report.relative_change is not None:

@@ -80,6 +80,8 @@ class ProviderConfig:
             raise ValueError(f"unknown provider kind {self.kind!r}")
         if (self.kind == "remote") != (self.endpoint is not None):
             raise ValueError("endpoint must be present iff kind is remote")
+        if self.dimension < 1 or self.batch_size < 1:
+            raise ValueError(f"dimension and batch_size must be at least 1, not {self.dimension} and {self.batch_size}")
 
     def build(self) -> "EmbeddingProvider":
         cache = VectorCache(self.cache_path) if self.cache_path else None
@@ -149,6 +151,7 @@ class VectorTable:
         self.lock = threading.Lock()
         self._at: dict[str, tuple[_Rows, int]] = {}
         self._by_dim: dict[int, _Rows] = {}
+        self._file: KeyedJsonl | None = None
 
     def _rows(self, dim: int) -> _Rows:
         rows = self._by_dim.get(dim)
@@ -157,9 +160,12 @@ class VectorTable:
         return rows
 
     def put_rows(self, surfaces: Sequence[str], block: np.ndarray) -> None:
-        """Store row i of the `(len(surfaces), dim)` `block` as the vector of `surfaces[i]`."""
+        """Store row i of the `(len(surfaces), dim)` `block` as the vector of `surfaces[i]`;
+        a table with a file (a `VectorCache`) also appends the rows' records to it in one write."""
         rows = self._rows(block.shape[1])
         self._at.update((s, (rows, i)) for i, s in enumerate(surfaces, rows.extend(block)))
+        if self._file is not None:
+            self._file.append(_encode_rows(surfaces, block))
 
     def put_all(self, vectors: Mapping[str, Sequence[float]]) -> None:
         """Store each surface's vector, with one block per dimension."""
@@ -267,31 +273,22 @@ def _decode_vector(rec: dict) -> tuple[str, np.ndarray]:
     return rec["term"], values
 
 
-class VectorCache:
-    """Append-only JSONL store of {"term", "dim", "f64"} records, held in memory as a `VectorTable`.
+class VectorCache(VectorTable):
+    """A `VectorTable` backed by an append-only JSONL file of {"term", "dim", "f64"} records.
 
     `f64` is the base64 of `dim` little-endian float64 values, so a reload gives
     back every vector bit for bit. Each record is read with `np.frombuffer`, and
-    the file's records go into `table` as one block per dimension; a later
-    record for a term wins, also one of another dimension. The file is read
-    only here and is otherwise only appended to.
+    the file's records are stored as one block per dimension; a later record
+    for a term wins, also one of another dimension. The file is read only here,
+    and is attached once it is loaded, so loading appends nothing and every
+    later stored block is appended.
     """
 
     def __init__(self, path: str | Path):
-        self.table = VectorTable()
-        self._file = KeyedJsonl(path, _decode_vector)
-        self.table.put_all(dict(self._file.load()))
-
-    def get(self, term: str) -> TermVector | None:
-        return self.table.get(term)
-
-    def put_rows(self, terms: Sequence[str], block: np.ndarray) -> None:
-        """Hold row i of `block` as the vector of `terms[i]` and append the rows' records in one write."""
-        self.table.put_rows(terms, block)
-        self._file.append(_encode_rows(terms, block))
-
-    def __len__(self) -> int:
-        return len(self.table)
+        super().__init__()
+        file = KeyedJsonl(path, _decode_vector)
+        self.put_all(dict(file.load()))
+        self._file = file
 
 
 class EmbeddingProvider:
@@ -302,7 +299,7 @@ class EmbeddingProvider:
             raise ValueError("batch_size must be positive")
         self.cache = cache
         self.batch_size = batch_size
-        self.table = cache.table if cache is not None else VectorTable()
+        self.table = cache if cache is not None else VectorTable()
         self.fetch_count = 0  # terms actually fetched, for cache tests
 
     def embed_terms(self, terms: Iterable[str]) -> Mapping[str, TermVector]:
@@ -322,10 +319,7 @@ class EmbeddingProvider:
                 block = self._fetch(batch)
                 self.fetch_count += len(batch)
                 self._validate(batch, block)
-                if self.cache is not None:
-                    self.cache.put_rows(batch, block)
-                else:
-                    self.table.put_rows(batch, block)
+                self.table.put_rows(batch, block)
         return self.table.view(sorted(wanted))
 
     def _validate(self, batch: list[str], block: np.ndarray) -> None:

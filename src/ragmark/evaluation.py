@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -28,14 +28,15 @@ from .errors import (
 )
 from .highlight import HighlightedDocument
 from .jsonl import TEXT, as_text, read_records, require
+from .retriever import RetrieverParams
 from .stepback import ChatClient
 
 if TYPE_CHECKING:
     from .embeddings import EmbeddingProvider
-    from .retriever import RetrieverParams
     from .store import Bm25Index
 
 TASKS = ("mcq", "claim-verification", "factoid")
+MODEL_FAMILIES = ("mistral", "alpaca", "llama2")
 
 
 @dataclass(frozen=True)
@@ -65,6 +66,8 @@ class RunSetting:
             raise ValueError("evidence-only context requires highlighting")
         if self.top_k is not None and self.top_k < 1:
             raise ValueError(f"top_k must be at least 1, or null for every passage; got {self.top_k}")
+        if self.model_family not in MODEL_FAMILIES:
+            raise ValueError(f"unknown model family {self.model_family!r}; expected one of {MODEL_FAMILIES}")
 
 
 @dataclass(frozen=True)
@@ -120,6 +123,8 @@ def load_dataset(path: str | Path, task: str | None = None) -> list[EvalRecord]:
         seen.add(qid)
         if not gold:
             raise MalformedRecord(f"line {line_no}: empty gold set", line_no)
+        if not all(normalize_answer(g) for g in gold):  # inclusion_match could never match it
+            raise MalformedRecord(f"line {line_no}: a gold answer has no letters or digits", line_no)
         choices = obj.get("choices")
         if rec_task == "mcq":
             if not choices:
@@ -127,6 +132,8 @@ def load_dataset(path: str | Path, task: str | None = None) -> list[EvalRecord]:
             if not isinstance(choices, dict):
                 raise MalformedRecord(f"line {line_no}: choices must be an object", line_no)
             choices = {k: as_text(v, "choices", line_no) for k, v in choices.items()}
+            if not set(gold) <= choices.keys():
+                raise MalformedRecord(f"line {line_no}: gold labels {sorted(gold)} are not all choice keys", line_no)
         elif choices:
             raise MalformedRecord(f"line {line_no}: choices on non-mcq record", line_no)
         if rec_task == "claim-verification":
@@ -170,8 +177,6 @@ You are a helpful, respectful and honest assistant. Always answer as helpfully a
 
 If a question does not make any sense, or is not factually coherent, explain why instead of answering something not correct. If you don't know the answer to a question, please don't share false information.
 <</SYS>>"""
-
-MODEL_FAMILIES = ("mistral", "alpaca", "llama2")
 
 
 def format_choices(choices: dict[str, str]) -> str:
@@ -306,7 +311,7 @@ class PipelineHandles:
     qa_client: ChatClient
     embedding_provider: EmbeddingProvider | None = None
     stepback_client: ChatClient | None = None
-    retriever_params: RetrieverParams | None = None
+    retriever_params: RetrieverParams = field(default_factory=RetrieverParams)
     bm25_index: Bm25Index | None = None
     precomputed: dict[str, list] | None = None
     max_workers: int = 4
@@ -318,7 +323,6 @@ def _evaluate_record(
     from .highlight import evidence_only as render_evidence_only
     from .highlight import highlight as tag_passages
     from .pipeline import select_evidence
-    from .retriever import RetrieverParams
 
     try:
         if setting.retrieval == "none":
@@ -338,7 +342,7 @@ def _evaluate_record(
                     record.question,
                     list(passages),
                     handles.embedding_provider,
-                    handles.retriever_params or RetrieverParams(),
+                    handles.retriever_params,
                     stepback_client=handles.stepback_client if setting.stepback else None,
                     choices=record.choices,
                 )
@@ -365,9 +369,12 @@ def run_setting(
     records: Sequence[EvalRecord],
     setting: RunSetting,
     handles: PipelineHandles,
-    baseline: RunReport | None = None,
+    baseline_accuracy: float | None = None,
 ) -> RunReport:
     """Evaluate every record under one setting; a record's `RagmarkError` scores it incorrect.
+
+    Given the `baseline_accuracy` of a prior run, the report also holds the
+    relative change against it.
 
     Any other exception propagates. A retrieval source or an embedding
     provider the setting needs and `handles` lacks raises a `MissingSource`
@@ -383,13 +390,12 @@ def run_setting(
         outcomes = list(pool.map(lambda r: _evaluate_record(r, setting, handles), records))
     outcomes.sort(key=lambda o: o.query_id)
     accuracy = 100.0 * sum(o.correct for o in outcomes) / len(outcomes) if outcomes else 0.0
-    base_acc = baseline.accuracy if baseline else None
     return RunReport(
         setting=setting,
         outcomes=tuple(outcomes),
         accuracy=accuracy,
-        baseline_accuracy=base_acc,
-        relative_change=relative_change(base_acc, accuracy) if base_acc else None,
+        baseline_accuracy=baseline_accuracy,
+        relative_change=relative_change(baseline_accuracy, accuracy) if baseline_accuracy else None,
     )
 
 

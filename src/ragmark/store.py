@@ -142,6 +142,8 @@ def load_precomputed_results(path: str | Path) -> dict[str, list[Passage]]:
     results: dict[str, list[Passage]] = {}
     for line_no, obj in read_records(path):
         qid = str(require(obj, "query_id", line_no, TEXT))
+        if qid in results:
+            raise DuplicateId(f"line {line_no}: duplicate query_id {qid!r}")
         entries = require(obj, "passages", line_no, list)
         results[qid] = [_passage(entry, line_no, rank) for rank, entry in enumerate(entries, 1)]
     return results

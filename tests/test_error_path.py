@@ -163,9 +163,9 @@ def test_eval_over_an_endpoint_opens_one_reply_cache(runner, tmp_path, kb_file, 
     monkeypatch.setattr(requests, "post", post)
     seen = []
 
-    def spying_run_setting(records, setting, handles, baseline=None):
+    def spying_run_setting(records, setting, handles, baseline_accuracy=None):
         seen.append(handles)
-        return run_setting(records, setting, handles, baseline=baseline)
+        return run_setting(records, setting, handles, baseline_accuracy=baseline_accuracy)
 
     monkeypatch.setattr(ragmark.cli, "run_setting", spying_run_setting)
     cache_path = tmp_path / "replies.jsonl"

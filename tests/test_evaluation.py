@@ -228,7 +228,7 @@ class TestRunSetting:
         qa = StubChatClient("skill0 skill1 skill2 skill3")
         setting = RunSetting(highlighting=False, stepback=False)
         baseline = run_setting(records[:2], setting, self.handles(precomputed, StubChatClient("no")))
-        report = run_setting(records, setting, self.handles(precomputed, qa), baseline=baseline)
+        report = run_setting(records, setting, self.handles(precomputed, qa), baseline_accuracy=baseline.accuracy)
         assert report.baseline_accuracy == baseline.accuracy
 
     def test_per_record_failure_counts_incorrect(self):

@@ -1,0 +1,106 @@
+"""Inputs that could only run wrong are refused up front.
+
+A setting with an unknown model family, or a provider with a dimension or
+batch size below 1, is a config error: `eval` and `sweep` exit 2 and write no
+report. A dataset gold answer that can never be matched, an MCQ gold label
+that is not one of the record's choices, and a repeated query id in the
+precomputed results are load errors that name their line.
+"""
+
+import json
+
+import pytest
+from click.testing import CliRunner
+
+from ragmark.cli import main
+from ragmark.config import RunConfig
+from ragmark.embeddings import ProviderConfig
+from ragmark.errors import DuplicateId, MalformedRecord
+from ragmark.evaluation import RunSetting, load_dataset
+from ragmark.store import load_precomputed_results
+
+KB = [{"id": "p1", "title": "Deserts", "text": "Deserts are dry. Lions hunt at night."}]
+RECORD = {"query_id": "q0", "task": "factoid", "question": "When do lions hunt?", "gold": ["night"]}
+MCQ = {"query_id": "q1", "task": "mcq", "question": "When do lions hunt?", "choices": {"A": "night", "B": "noon"}}
+
+
+def write_jsonl(path, rows):
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+    return path
+
+
+def config_with(tmp_path, **changes):
+    """A working bm25 config file, with `changes` merged into its JSON."""
+    path = tmp_path / "c.json"
+    RunConfig(
+        retrieval="bm25", highlighting=False, stepback=False,
+        kb_path=str(write_jsonl(tmp_path / "kb.jsonl", KB)),
+        dataset_path=str(write_jsonl(tmp_path / "dataset.jsonl", [RECORD])),
+        reply_cache_path=str(tmp_path / "replies.jsonl"), output_dir=str(tmp_path / "run"),
+    ).save(path)
+    data = json.loads(path.read_text(encoding="utf-8"))
+    for key, value in changes.items():
+        data[key] = {**data[key], **value} if isinstance(value, dict) else value
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return path
+
+
+def test_unknown_model_family_is_rejected():
+    with pytest.raises(ValueError, match="model family 'gpt4'"):
+        RunSetting(model_family="gpt4")
+    for family in ("mistral", "alpaca", "llama2"):
+        assert RunSetting(model_family=family).model_family == family
+
+
+@pytest.mark.parametrize("field", ["dimension", "batch_size"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_provider_dimension_and_batch_size_below_one_are_rejected(field, value):
+    with pytest.raises(ValueError, match="dimension and batch_size"):
+        ProviderConfig(**{field: value})
+
+
+@pytest.mark.parametrize("command", [["eval"], ["sweep", "--k-values", "1"]])
+@pytest.mark.parametrize(
+    "changes",
+    [{"model_family": "gpt4"}, {"provider": {"dimension": 0}}, {"provider": {"batch_size": 0}}],
+    ids=["model_family", "dimension", "batch_size"],
+)
+def test_eval_and_sweep_exit_2_on_an_invalid_setting(tmp_path, command, changes):
+    path = config_with(tmp_path, **changes)
+    result = CliRunner().invoke(main, [command[0], "--config", str(path), *command[1:]])
+    assert result.exit_code == 2, result.output
+    assert "config error: " in result.output
+    assert not (tmp_path / "run").exists()
+
+
+def load_error_on_line_2(tmp_path, loader, good, bad, error=MalformedRecord):
+    path = write_jsonl(tmp_path / "in.jsonl", [good, bad])
+    with pytest.raises(error) as caught:
+        loader(path)
+    assert str(caught.value).startswith("line 2: ")
+    return caught.value
+
+
+@pytest.mark.parametrize("gold", [["!!"], ["night", "..."], [" "]])
+def test_a_gold_answer_with_no_letters_or_digits_is_a_load_error(tmp_path, gold):
+    bad = {**RECORD, "query_id": "q1", "gold": gold}
+    assert load_error_on_line_2(tmp_path, load_dataset, RECORD, bad).line_number == 2
+
+
+@pytest.mark.parametrize("gold", [["E"], ["A", "E"], ["a"]])
+def test_an_mcq_gold_label_that_is_not_a_choice_key_is_a_load_error(tmp_path, gold):
+    bad = {**MCQ, "gold": gold}
+    error = load_error_on_line_2(tmp_path, load_dataset, RECORD, bad)
+    assert error.line_number == 2 and "choice keys" in str(error)
+
+
+def test_mcq_gold_labels_among_the_choice_keys_load(tmp_path):
+    [record] = load_dataset(write_jsonl(tmp_path / "in.jsonl", [{**MCQ, "gold": ["A", "B"]}]))
+    assert record.gold == frozenset({"A", "B"})
+
+
+def test_a_repeated_query_id_in_precomputed_results_is_a_load_error(tmp_path):
+    first = {"query_id": "q0", "passages": [KB[0]]}
+    again = {"query_id": "q0", "passages": [{**KB[0], "id": "p2"}]}
+    error = load_error_on_line_2(tmp_path, load_precomputed_results, first, again, DuplicateId)
+    assert "'q0'" in str(error)
