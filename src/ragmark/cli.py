@@ -91,17 +91,19 @@ def _chat_client(cfg: RunConfig, model_name: str, cache: ReplyCache | None) -> C
 
 
 def _handles(cfg: RunConfig) -> PipelineHandles:
+    """The handles of `cfg`'s setting; a source the setting never reads is not opened."""
     cache = _reply_cache(cfg)
     qa = _chat_client(cfg, cfg.qa_model, cache)
     if qa is None:
         _fail(f"config error: {click.get_current_context().info_name} needs an LLM endpoint or a reply cache")
+    bm25, dense = cfg.retrieval == "bm25", cfg.retrieval == "precomputed-dense"
     return PipelineHandles(
         qa_client=qa,
-        embedding_provider=cfg.provider.build(),
+        embedding_provider=cfg.provider.build() if cfg.highlighting and cfg.retrieval != "none" else None,
         stepback_client=_chat_client(cfg, cfg.stepback_model, cache) if cfg.stepback else None,
         retriever_params=cfg.retriever,
-        bm25_index=build_index(load_passages(cfg.kb_path), cfg.bm25) if cfg.kb_path else None,
-        precomputed=load_precomputed_results(cfg.results_path) if cfg.results_path else None,
+        bm25_index=build_index(load_passages(cfg.kb_path), cfg.bm25) if bm25 and cfg.kb_path else None,
+        precomputed=load_precomputed_results(cfg.results_path) if dense and cfg.results_path else None,
     )
 
 
@@ -136,9 +138,9 @@ def main() -> None:
 
 @main.command("index")
 @click.option("--kb", "kb_path", required=True, type=click.Path(exists=True), help="KB JSONL file.")
-@click.option("--out", "out_path", required=True, type=click.Path(), help="Index output path.")
+@click.option("--out", "out_path", required=True, type=click.Path(), help="Output JSON path.")
 def cmd_index(kb_path: str, out_path: str) -> None:
-    """Build and persist a BM25 index; print corpus statistics."""
+    """Build a BM25 index over a KB; write its passages and corpus statistics as JSON, and print the statistics."""
     with _exit_codes():
         passages = load_passages(kb_path)
         index = build_index(passages)

@@ -11,8 +11,10 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
+
+import numpy as np
 
 from .errors import DuplicateId, EmptyIndex, MalformedRecord
 from .jsonl import TEXT, as_text, read_records, require
@@ -46,7 +48,10 @@ class Bm25Index:
     """Immutable Okapi BM25 index over title + text content terms.
 
     idf uses the +1 smoothing: ln((N - df + 0.5) / (df + 0.5) + 1), which
-    stays non-negative on tiny corpora.
+    stays non-negative on tiny corpora. Term t's postings are flat int32
+    arrays: its passages, ascending, are `_docs[_offsets[t]:_offsets[t + 1]]`
+    and their tfs the same slice of `_tfs`. A queried term's {passage: tf} is
+    read from its slice once and kept.
     """
 
     def __init__(self, passages: list[Passage], params: Bm25Params = Bm25Params()):
@@ -56,17 +61,43 @@ class Bm25Index:
             raise DuplicateId(f"duplicate passage ids: {dupes}")
         self.params = params
         self.passages = tuple(passages)
-        self._postings: dict[str, dict[int, int]] = {}  # term -> {doc index: tf}
+        self._term_ids: dict[str, int] = {}  # in order of first occurrence
         self.doc_lengths: list[int] = []
-        for i, p in enumerate(passages):
-            terms = [s for s in word_surfaces(f"{p.title} {p.text}") if s not in STOPWORDS]
-            self.doc_lengths.append(len(terms))
-            for term, tf in Counter(terms).items():
-                self._postings.setdefault(term, {})[i] = tf
-        self.doc_freq: Counter[str] = Counter({t: len(docs) for t, docs in self._postings.items()})
+        # All content terms as term ids, passage after passage. A stable sort by
+        # term id keeps each term's passages ascending, and each run of one
+        # (term, passage) pair is a posting whose length is its tf.
+        terms = np.fromiter(chain.from_iterable(map(self._term_id_run, passages)), np.int32)
+        order = np.argsort(terms, kind="stable")
+        terms, docs = terms[order], np.repeat(np.arange(len(passages), dtype=np.int32), self.doc_lengths)[order]
+        del order
+        starts = np.flatnonzero(np.diff(terms, prepend=-1) | np.diff(docs, prepend=-1))
+        doc_freq = np.bincount(terms[starts], minlength=len(self._term_ids))
+        # Read through memoryviews: a query's slices and items then take no numpy call.
+        self._docs = memoryview(docs[starts])
+        self._tfs = memoryview(np.diff(starts, append=len(terms)).astype(np.int32))
+        self._offsets = memoryview(np.concatenate(([0], np.cumsum(doc_freq))))
+        self.doc_freq: Counter[str] = Counter(dict(zip(self._term_ids, doc_freq.tolist())))
+        self._queried: dict[str, tuple[float, dict[int, int]]] = {}  # term -> (idf, {passage: tf})
         self._id_order = sorted(range(len(ids)), key=ids.__getitem__)
         self.n_docs = len(passages)
         self.avg_doc_length = sum(self.doc_lengths) / self.n_docs if self.n_docs else 0.0
+
+    def _term_id_run(self, p: Passage) -> list[int]:
+        """The term ids of `p`'s content terms, in order; appends its length to `doc_lengths`."""
+        ids = self._term_ids
+        run = [ids.setdefault(s, len(ids)) for s in word_surfaces(f"{p.title} {p.text}") if s not in STOPWORDS]
+        self.doc_lengths.append(len(run))
+        return run
+
+    def _term(self, term: str) -> tuple[float, dict[int, int]]:
+        """(idf, {passage index: tf}) of `term`, read from its postings slice on first use and kept."""
+        entry = self._queried.get(term)
+        if entry is None:
+            t = self._term_ids.get(term)
+            lo, hi = (self._offsets[t], self._offsets[t + 1]) if t is not None else (0, 0)
+            tfs = dict(zip(self._docs[lo:hi].tolist(), self._tfs[lo:hi].tolist()))
+            entry = self._queried.setdefault(term, (self.idf(term), tfs))  # a concurrent query may be first
+        return entry
 
     def idf(self, term: str) -> float:
         df = self.doc_freq.get(term, 0)
@@ -78,10 +109,11 @@ class Bm25Index:
         norm = k1 * (1.0 - b + b * dl / self.avg_doc_length) if self.avg_doc_length else k1
         total = 0.0
         for term in query_surfaces:
-            tf = self._postings.get(term, {}).get(doc_index, 0)
+            idf, tfs = self._queried.get(term) or self._term(term)  # no call once the term is kept
+            tf = tfs.get(doc_index, 0)
             if tf == 0:
                 continue
-            total += self.idf(term) * tf * (k1 + 1.0) / (tf + norm)
+            total += idf * tf * (k1 + 1.0) / (tf + norm)
         return total
 
     def top_k(self, query: str, k: int) -> list[Passage]:
@@ -96,7 +128,7 @@ class Bm25Index:
         if k < 1:
             raise ValueError("k must be positive")
         surfaces = [t.surface for t in extract_terms(query, drop_stopwords=True)]
-        matched = {i for term in surfaces for i in self._postings.get(term, ())}
+        matched = set().union(*(self._term(term)[1] for term in surfaces))
         ranked = sorted(matched, key=lambda i: (-self.score(surfaces, i), self.passages[i].id))[:k]
         if len(ranked) < k:
             unmatched = (i for i in self._id_order if i not in matched)

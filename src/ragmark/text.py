@@ -57,10 +57,14 @@ class SentenceSpan:
         return passage_text[self.start : self.end]
 
 
-# `[^\W_]` is exactly `str.isalnum`, and `\S` exactly not `str.isspace`. A
-# word's surface runs from its first alphanumeric character to its last.
-_WORD_SURFACE = re.compile(r"[^\W_](?:\S*[^\W_])?")
-_TRIMMED = re.compile(r"[^\W_](?:.*[^\W_])?", re.DOTALL)
+def _trimmed(s: str) -> str:
+    """`s` from its first alphanumeric character to its last; empty if it has none."""
+    i, j = 0, len(s)
+    while i < j and not s[i].isalnum():
+        i += 1
+    while j > i and not s[j - 1].isalnum():
+        j -= 1
+    return s[i:j]
 
 
 def normalize_term(raw: str, stopwords: frozenset[str] = STOPWORDS) -> Term | None:
@@ -69,20 +73,24 @@ def normalize_term(raw: str, stopwords: frozenset[str] = STOPWORDS) -> Term | No
     Returns None when stripping leaves nothing (e.g. punctuation-only input).
     Interior punctuation, including hyphens, is kept intact.
     """
-    match = _TRIMMED.search(raw.lower())
-    if match is None:
+    surface = _trimmed(raw.lower())
+    if not surface:
         return None
-    surface = match.group()
     return Term(surface=surface, is_stopword=surface in stopwords)
 
 
 def word_surfaces(text: str) -> list[str]:
     """`normalize_term` surfaces of `text`'s whitespace-delimited words, in
     order and with duplicates; words without an alphanumeric character are
-    skipped. One regex pass: lowercasing never turns a space into a non-space
-    or back, and no case rule looks across a space (final sigma stops at
-    one), so the whole text is lowercased first."""
-    return _WORD_SURFACE.findall(text.lower())
+    skipped. Lowercasing never turns a space into a non-space or back, and no
+    case rule looks across a space (final sigma stops at one), so the whole
+    text is lowercased first and then split at `str.isspace` runs."""
+    out = []
+    for word in text.lower().split():
+        surface = word if word.isalnum() else _trimmed(word)
+        if surface:
+            out.append(surface)
+    return out
 
 
 def extract_terms(

@@ -9,6 +9,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections import Counter
 from itertools import chain
 from typing import Mapping, Sequence
 
@@ -16,6 +17,7 @@ import numpy as np
 
 from ragmark.embeddings import TermVector
 from ragmark.errors import DimensionMismatch, MissingVector, ZeroVector
+from ragmark.text import extract_terms
 
 
 def brute_force_align(query_vecs: list[np.ndarray], sentence_vecs: list[np.ndarray]) -> float:
@@ -62,6 +64,19 @@ def bm25_reference(
             score += idf * tf * (k1 + 1.0) / (tf + k1 * (1.0 - b + b * dl / avgdl))
         scores.append(score)
     return scores
+
+
+def reference_postings(passages: Sequence) -> tuple[dict[str, dict[int, int]], list[int]]:
+    """term -> {passage index: tf} and each passage's length in content terms,
+    from one `Counter` per passage of `extract_terms(title + " " + text)`."""
+    postings: dict[str, dict[int, int]] = {}
+    lengths = []
+    for i, p in enumerate(passages):
+        terms = [t.surface for t in extract_terms(p.title + " " + p.text)]
+        lengths.append(len(terms))
+        for term, tf in Counter(terms).items():
+            postings.setdefault(term, {})[i] = tf
+    return postings, lengths
 
 
 def reference_sentence_bounds(text: str, abbreviations: frozenset[str]) -> list[tuple[int, int]]:

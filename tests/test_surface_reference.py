@@ -1,10 +1,11 @@
 import re
 import sys
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ragmark.text import extract_terms, normalize_term
+from ragmark.text import extract_terms, normalize_term, word_surfaces
 
 from oracles import reference_normalize, reference_surfaces
 
@@ -51,4 +52,31 @@ def test_regex_classes_are_exactly_the_str_predicates():
             mismatches.append(cp)
         elif any(x.isspace() != c.isspace() for x in c.lower()):
             mismatches.append(cp)
+    assert mismatches == []
+
+
+@pytest.mark.parametrize(
+    "text, surfaces",
+    [
+        ("one\x85two", ["one", "two"]),  # NEL
+        ("one\u2028two\u2029", ["one", "two"]),  # line and paragraph separators
+        ("\u3000one\u3000two", ["one", "two"]),  # ideographic space
+        ("one\x1ftwo\x1c", ["one", "two"]),  # unit and file separators
+        ("one\ttwo\t", ["one", "two"]),
+        ("one\rtwo\r\n", ["one", "two"]),
+        ("-- ... (!) _ __ \u0301", []),  # words with no alphanumeric character
+        ("(one) -- 'two'_ ?!", ["one", "two"]),
+    ],
+)
+def test_word_surfaces_whitespace_and_words_without_alphanumerics(text, surfaces):
+    assert word_surfaces(text) == reference_surfaces(text) == surfaces
+
+
+def test_str_split_splits_on_exactly_isspace():
+    # `word_surfaces` splits with `str.split()`, which must cut at exactly the
+    # characters `str.isspace` accepts, and at nothing else.
+    mismatches = [
+        cp for cp in range(sys.maxunicode + 1)
+        if len(f"a{chr(cp)}b".split()) != (2 if chr(cp).isspace() else 1)
+    ]
     assert mismatches == []
