@@ -29,14 +29,16 @@ import threading
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
-import requests
 
 from .errors import DimensionMismatch, MissingVector, RemoteUnavailable, ZeroVector
 from .jsonl import KeyedJsonl
 from .remote import post_with_retries
+
+if TYPE_CHECKING:
+    import requests
 
 
 @dataclass(frozen=True)
@@ -259,35 +261,50 @@ def _encode_rows(terms: Sequence[str], block: np.ndarray) -> str:
     )
 
 
-def _decode_vector(rec: dict) -> tuple[str, np.ndarray]:
-    """Read an `f64` record, or one written before it with a decimal `values` list."""
+def _decode_vector(rec: dict) -> tuple[str, bytes]:
+    """A record's term and its vector as little-endian float64 bytes: the `f64` payload, or
+    the decimal `values` list of a record written before it."""
     if "f64" in rec:
         raw = base64.b64decode(rec["f64"], validate=True)
-        if len(raw) % 8:
-            raise ValueError("f64 is not a whole number of float64 values")
-        values = np.frombuffer(raw, dtype="<f8")
     else:
-        values = np.array([float(v) for v in rec["values"]], dtype=np.float64)
-    if len(values) != rec["dim"]:
+        raw = np.array([float(v) for v in rec["values"]], dtype="<f8").tobytes()
+    if len(raw) % 8 or len(raw) // 8 != rec["dim"]:
         raise ValueError("dim does not match the values")
-    return rec["term"], values
+    return rec["term"], raw
 
 
 class VectorCache(VectorTable):
     """A `VectorTable` backed by an append-only JSONL file of {"term", "dim", "f64"} records.
 
     `f64` is the base64 of `dim` little-endian float64 values, so a reload gives
-    back every vector bit for bit. Each record is read with `np.frombuffer`, and
-    the file's records are stored as one block per dimension; a later record
-    for a term wins, also one of another dimension. The file is read only here,
-    and is attached once it is loaded, so loading appends nothing and every
-    later stored block is appended.
+    back every vector bit for bit. The file is read a line at a time, and each
+    record's bytes go straight into one growing buffer for its dimension, or
+    over the term's earlier row there; each buffer is then stored as one block.
+    A later record for a term wins, also one of another dimension. The file is
+    read only here, and is attached once it is loaded, so loading appends
+    nothing and every later stored block is appended.
     """
 
     def __init__(self, path: str | Path):
         super().__init__()
         file = KeyedJsonl(path, _decode_vector)
-        self.put_all(dict(file.load()))
+        dim_of: dict[str, int] = {}  # term -> the dimension of its latest record
+        buffers: dict[int, tuple[bytearray, dict[str, int]]] = {}  # dim -> (rows' bytes, term -> row)
+        for term, raw in file.load():
+            dim = dim_of[term] = len(raw) // 8
+            buf, row_of = buffers.setdefault(dim, (bytearray(), {}))
+            i = row_of.get(term)
+            if i is None:
+                row_of[term] = len(row_of)
+                buf += raw
+            else:
+                buf[i * len(raw) : (i + 1) * len(raw)] = raw
+        for dim, (buf, row_of) in buffers.items():
+            block = np.frombuffer(buf, dtype="<f8").reshape(len(row_of), dim)
+            live = [t for t in row_of if dim_of[t] == dim]  # not since moved to another dimension
+            if len(live) < len(row_of):
+                block = block[[row_of[t] for t in live]]
+            self.put_rows(live, block)
         self._file = file
 
 
@@ -463,7 +480,7 @@ class RemoteEmbeddingProvider(EmbeddingProvider):
         self.retries = retries
         self.timeout = timeout
         self.api_key = api_key if api_key is not None else os.environ.get("EMBED_API_KEY")
-        self._post = post or requests.post
+        self._post = post  # None: `requests.post`, looked up when posting
         self._dimension: int | None = None
 
     @property

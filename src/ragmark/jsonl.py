@@ -43,12 +43,23 @@ def repair_tail(path: Path) -> None:
             fh.write(b"\n")
 
 
+def _lines(path: Path) -> Iterator[str]:
+    """The lines of the UTF-8 file at `path`, read one at a time and split at "\n" only.
+
+    JSON escapes every line break it knows of except the raw U+2028, U+2029 and U+0085
+    that a writer may leave in a string, so those do not end a line. The file is closed
+    when the loop over the lines ends or is abandoned.
+    """
+    with path.open(encoding="utf-8", newline="\n") as fh:
+        yield from fh
+
+
 def read_records(path: str | Path) -> Iterator[tuple[int, Any]]:
     """(line number, JSON value) per non-blank line; `MalformedRecord` for a line that is not JSON.
 
     Read a record's fields with `require`, which rejects a value that is not an object.
     """
-    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for line_no, line in enumerate(_lines(Path(path)), 1):
         if line.strip():
             try:
                 yield line_no, json.loads(line)
@@ -103,7 +114,7 @@ class KeyedJsonl:
     def load(self) -> Iterator[tuple[Any, Any]]:
         if not self.path.exists():
             return
-        for line in self.path.read_text(encoding="utf-8").splitlines():
+        for line in _lines(self.path):
             try:
                 key, value = self._decode(json.loads(line))
             except (KeyError, TypeError, ValueError):

@@ -1,26 +1,34 @@
-"""One JSON POST with bounded retries, shared by the embedding and chat clients."""
+"""One JSON POST with bounded retries, shared by the embedding and chat clients.
+
+`requests` is imported by the first POST, so a run that never posts never loads it.
+"""
 
 from __future__ import annotations
 
 import time
-from typing import Any, Callable
-
-import requests
+from typing import TYPE_CHECKING, Any, Callable
 
 from .errors import RagmarkError
 
+if TYPE_CHECKING:
+    import requests
+
 
 def post_with_retries(
-    post: Callable[..., requests.Response], url: str, body: dict, parse: Callable[[Any], Any], *,
+    post: Callable[..., requests.Response] | None, url: str, body: dict, parse: Callable[[Any], Any], *,
     api_key: str | None, timeout: float, retries: int, unavailable: type[RagmarkError], what: str,
 ) -> Any:
-    """POST `body` as JSON to `url` and return `parse` of the reply's JSON.
+    """POST `body` as JSON to `url` with `post`, or `requests.post` when it is None, and
+    return `parse` of the reply's JSON.
 
     Transport errors, error statuses and replies `parse` cannot read (KeyError, IndexError,
     TypeError, ValueError) are retried `retries` times with capped exponential backoff, then
     raise `unavailable` saying `what` failed. A `RagmarkError` from `parse` (`EmptyReply`)
     is an answer, not a fault: it propagates at once.
     """
+    import requests
+
+    post = post or requests.post
     headers = {"Content-Type": "application/json"}
     if api_key:
         headers["Authorization"] = f"Bearer {api_key}"

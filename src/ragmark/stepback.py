@@ -18,14 +18,15 @@ import threading
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Protocol
-
-import requests
+from typing import TYPE_CHECKING, Callable, Protocol
 
 from .errors import EmptyReply, LlmUnavailable
 from .jsonl import KeyedJsonl
 from .remote import post_with_retries
 from .text import Term, extract_terms
+
+if TYPE_CHECKING:
+    import requests
 
 STEPBACK_QUESTION_TEMPLATE = """You are an expert at world knowledge. Your task is to step back and paraphrase a question to a more generic step-back question, which is easier to answer. Here are a few examples:
 
@@ -85,7 +86,7 @@ class HttpChatClient:
         self.config = config
         self.model_name = config.model_name
         self.api_key = api_key if api_key is not None else os.environ.get("LLM_API_KEY")
-        self._post = post or requests.post
+        self._post = post  # None: `requests.post`, looked up when posting
 
     def request_body(self, prompt: str) -> dict:
         return {

@@ -63,19 +63,27 @@ class Bm25Index:
         self.passages = tuple(passages)
         self._term_ids: dict[str, int] = {}  # in order of first occurrence
         self.doc_lengths: list[int] = []
-        # All content terms as term ids, passage after passage. A stable sort by
-        # term id keeps each term's passages ascending, and each run of one
-        # (term, passage) pair is a posting whose length is its tf.
-        terms = np.fromiter(chain.from_iterable(map(self._term_id_run, passages)), np.int32)
-        order = np.argsort(terms, kind="stable")
-        terms, docs = terms[order], np.repeat(np.arange(len(passages), dtype=np.int32), self.doc_lengths)[order]
-        del order
-        starts = np.flatnonzero(np.diff(terms, prepend=-1) | np.diff(docs, prepend=-1))
-        doc_freq = np.bincount(terms[starts], minlength=len(self._term_ids))
+        # One int64 key per content term, (term id << 32) | passage index, sorted in
+        # place: each term's passages then run ascending, and each run of one key is
+        # a posting whose length is its tf. Each array is dropped once read, to keep
+        # the build's peak low.
+        keys = np.fromiter(chain.from_iterable(map(self._term_id_run, passages)), np.int64)
+        keys <<= 32
+        keys |= np.repeat(np.arange(len(passages), dtype=np.int32), self.doc_lengths)
+        keys.sort()
+        first = np.ones(len(keys), dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        del first
+        tfs = np.diff(starts, append=len(keys)).astype(np.int32)
+        postings = keys[starts]
+        del keys, starts
+        offsets = np.searchsorted(postings, np.arange(len(self._term_ids) + 1, dtype=np.int64) << 32)
         # Read through memoryviews: a query's slices and items then take no numpy call.
-        self._docs = memoryview(docs[starts])
-        self._tfs = memoryview(np.diff(starts, append=len(terms)).astype(np.int32))
-        self._offsets = memoryview(np.concatenate(([0], np.cumsum(doc_freq))))
+        self._docs = memoryview(postings.astype(np.int32))  # the low 32 bits: the passage
+        self._tfs = memoryview(tfs)
+        self._offsets = memoryview(offsets)
+        doc_freq = np.diff(offsets)
         self.doc_freq: Counter[str] = Counter(dict(zip(self._term_ids, doc_freq.tolist())))
         self._queried: dict[str, tuple[float, dict[int, int]]] = {}  # term -> (idf, {passage: tf})
         self._id_order = sorted(range(len(ids)), key=ids.__getitem__)

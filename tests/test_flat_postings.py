@@ -47,6 +47,8 @@ def check_against_reference(passages):
     index = build_index(passages)
     postings, lengths = reference_postings(passages)
     assert index._docs.obj.dtype == index._tfs.obj.dtype == np.int32
+    assert len(index._offsets) == len(index._term_ids) + 1
+    assert index._offsets[len(index._term_ids)] == len(index._docs) == len(index._tfs)
     assert flat_postings(index) == postings
     assert index.doc_freq == Counter({term: len(docs) for term, docs in postings.items()})
     assert index.doc_lengths == lengths
@@ -66,6 +68,9 @@ def test_named_corpora():
     check_against_reference(make_passages([("The", "of the and."), ("", "--- ... !")]))  # stopwords only
     twins = [("Desert", "Desert sand, desert water."), ("Desert", "Desert sand, desert water.")]
     check_against_reference(make_passages(twins + [("River", "water\x85water\u3000river")]))
+    everywhere = make_passages([("Water", "water in rivers"), ("Rivers", "Water."), ("", "salt WATER water")])
+    check_against_reference(everywhere)
+    assert build_index(everywhere)._term("water")[1] == {0: 2, 1: 1, 2: 2}
     index = build_index(make_passages(twins))
     assert flat_postings(index) == {"desert": {0: 3, 1: 3}, "sand": {0: 1, 1: 1}, "water": {0: 1, 1: 1}}
 
