@@ -16,6 +16,7 @@ gathered by row index from the provider's `VectorTable`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -69,7 +70,8 @@ class MaxSimScorer:
     `best[r, s]` is max(0, the best cosine of row term r against sentence s's
     content terms), and 0 for a sentence without content terms. The cosines
     come from one matrix over the rows and the pool's content terms, so each
-    (term, term) pair is computed once however many rankings use it. A
+    (term, term) pair is computed once however many rankings use it; a term
+    against itself is exactly 1.0 there, as in scalar `cosine`. A
     ranking is a row sum, added in query-term order, so every score is the
     same float sum the per-sentence definition gives. Built for one request
     and dropped with it.
@@ -86,6 +88,13 @@ class MaxSimScorer:
         rows = sorted(set(row_surfaces))
         self._row = {s: i for i, s in enumerate(rows)}
         sim = _cosine_matrix(rows, cols, vectors)
+        # A term against itself has cosine exactly 1.0, as scalar `cosine` gives it, so
+        # a term a sentence holds verbatim has MaxSim 1.0 there. The product rounds
+        # some self-cosines one ulp below, and a tie would then go to that rounding
+        # instead of to the lower pool position.
+        row_of_col = np.fromiter(map(self._row.get, cols, repeat(-1)), dtype=np.intp, count=len(cols))
+        verbatim = row_of_col >= 0
+        sim[row_of_col[verbatim], verbatim.nonzero()[0]] = 1.0
 
         # Sentences with the same number of content terms take one gather and
         # one max; a sentence without content terms keeps 0.
@@ -97,10 +106,11 @@ class MaxSimScorer:
         best = np.zeros((len(rows), len(self.pool)))
         if rows:
             for positions in by_width.values():
-                idx = [[col_index[s] for s in self.pool[p].content] for p in positions]
+                idx = np.array([[col_index[s] for s in self.pool[p].content] for p in positions])
                 best[:, positions] = sim[:, idx].max(axis=2)
         # max(0.0, cosine): a term never contributes a negative similarity.
         self._best = np.where(best > 0.0, best, 0.0)
+        self._columns: dict[int, list[float]] = {}
         self._rankings: dict[tuple[str, ...], np.ndarray] = {}
         self._covers: dict[tuple[frozenset[str], float, int], frozenset[str]] = {}
 
@@ -152,9 +162,17 @@ class MaxSimScorer:
         self._rankings[key] = order
         return order, len(self.pool)
 
+    def _column(self, pos: int) -> list[float]:
+        """The MaxSim of every row at pool position `pos`, read once as a list and kept."""
+        column = self._columns.get(pos)
+        if column is None:
+            column = self._columns[pos] = self._best[:, pos].tolist()
+        return column
+
     def alignment(self, surfaces: Sequence[str], rows: Sequence[int], pos: int) -> AlignmentScore:
         """The `AlignmentScore` of the sentence at pool position `pos`; `rows` are the surfaces' row ids."""
-        values = self._best[rows, pos].tolist()
+        column = self._column(pos)
+        values = [column[r] for r in rows]
         per_term = dict(zip(surfaces, values))
         return AlignmentScore(sentence=self.pool[pos], score=sum(values), per_term=per_term)
 
@@ -168,9 +186,8 @@ class MaxSimScorer:
         key = (query, threshold, pos)
         cover = self._covers.get(key)
         if cover is None:
-            rows = {s: self._row[s] for s in query if s in self._row}
-            values = self._best[list(rows.values()), pos].tolist()
-            above = [s for s, b in zip(rows, values) if b > threshold]
+            column, row = self._column(pos), self._row
+            above = [s for s in query if s in row and column[row[s]] > threshold]
             cover = query.intersection(self.pool[pos].content).union(above)
             self._covers[key] = cover
         return cover

@@ -22,11 +22,14 @@ corrupt record is skipped on load.
 from __future__ import annotations
 
 import base64
+import binascii
 import hashlib
 import math
 import os
+import sys
 import threading
 from dataclasses import dataclass
+from itertools import count, repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
@@ -34,7 +37,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequenc
 import numpy as np
 
 from .errors import DimensionMismatch, MissingVector, RemoteUnavailable, ZeroVector
-from .jsonl import KeyedJsonl
+from .jsonl import KeyedJsonl, decode_line
 from .remote import post_with_retries
 
 if TYPE_CHECKING:
@@ -165,7 +168,7 @@ class VectorTable:
         """Store row i of the `(len(surfaces), dim)` `block` as the vector of `surfaces[i]`;
         a table with a file (a `VectorCache`) also appends the rows' records to it in one write."""
         rows = self._rows(block.shape[1])
-        self._at.update((s, (rows, i)) for i, s in enumerate(surfaces, rows.extend(block)))
+        self._at.update(zip(surfaces, zip(repeat(rows), count(rows.extend(block)))))
         if self._file is not None:
             self._file.append(_encode_rows(surfaces, block))
 
@@ -261,44 +264,56 @@ def _encode_rows(terms: Sequence[str], block: np.ndarray) -> str:
     )
 
 
-def _decode_vector(rec: dict) -> tuple[str, bytes]:
-    """A record's term and its vector as little-endian float64 bytes: the `f64` payload, or
-    the decimal `values` list of a record written before it."""
-    if "f64" in rec:
-        raw = base64.b64decode(rec["f64"], validate=True)
-    else:
-        raw = np.array([float(v) for v in rec["values"]], dtype="<f8").tobytes()
-    if len(raw) % 8 or len(raw) // 8 != rec["dim"]:
-        raise ValueError("dim does not match the values")
-    return rec["term"], raw
+# `base64.b64decode(s, validate=True)` is `binascii.a2b_base64(s, strict_mode=True)` from
+# Python 3.11 on, less a copy of `s` as bytes; 3.10 has no strict mode, so it keeps the wrapper.
+_STRICT_A2B = sys.version_info >= (3, 11)
 
 
 class VectorCache(VectorTable):
     """A `VectorTable` backed by an append-only JSONL file of {"term", "dim", "f64"} records.
 
     `f64` is the base64 of `dim` little-endian float64 values, so a reload gives
-    back every vector bit for bit. The file is read a line at a time, and each
-    record's bytes go straight into one growing buffer for its dimension, or
-    over the term's earlier row there; each buffer is then stored as one block.
-    A later record for a term wins, also one of another dimension. The file is
-    read only here, and is attached once it is loaded, so loading appends
-    nothing and every later stored block is appended.
+    back every vector bit for bit; a record written before it holds the decimal
+    `values` list instead. The file is read a line at a time, in one loop: each
+    line is decoded by `jsonl.decode_line`, and each record's bytes go straight
+    into one growing buffer for its dimension, or over the term's earlier row
+    there; each buffer is then stored as one block. A later record for a term
+    wins, also one of another dimension, and a corrupt record is skipped. The
+    file is read only here, and is attached once it is loaded, so loading
+    appends nothing and every later stored block is appended.
     """
 
     def __init__(self, path: str | Path):
         super().__init__()
-        file = KeyedJsonl(path, _decode_vector)
+        file = KeyedJsonl(path)
         dim_of: dict[str, int] = {}  # term -> the dimension of its latest record
         buffers: dict[int, tuple[bytearray, dict[str, int]]] = {}  # dim -> (rows' bytes, term -> row)
-        for term, raw in file.load():
-            dim = dim_of[term] = len(raw) // 8
-            buf, row_of = buffers.setdefault(dim, (bytearray(), {}))
-            i = row_of.get(term)
-            if i is None:
-                row_of[term] = len(row_of)
-                buf += raw
-            else:
-                buf[i * len(raw) : (i + 1) * len(raw)] = raw
+        strict, a2b_base64, b64decode = _STRICT_A2B, binascii.a2b_base64, base64.b64decode
+        with file.lines() as fh:
+            for line in fh:
+                try:
+                    rec = decode_line(line)
+                    if "f64" in rec:
+                        payload = rec["f64"]
+                        raw = a2b_base64(payload, strict_mode=True) if strict else b64decode(payload, validate=True)
+                    else:
+                        raw = np.array([float(v) for v in rec["values"]], dtype="<f8").tobytes()
+                    if len(raw) % 8 or len(raw) // 8 != rec["dim"]:
+                        continue  # dim does not match the values
+                    term = rec["term"]
+                except (KeyError, TypeError, ValueError):
+                    continue
+                dim = dim_of[term] = len(raw) // 8
+                held = buffers.get(dim)
+                if held is None:
+                    held = buffers[dim] = (bytearray(), {})
+                buf, row_of = held
+                i = row_of.get(term)
+                if i is None:
+                    row_of[term] = len(row_of)
+                    buf += raw
+                else:
+                    buf[i * len(raw) : (i + 1) * len(raw)] = raw
         for dim, (buf, row_of) in buffers.items():
             block = np.frombuffer(buf, dtype="<f8").reshape(len(row_of), dim)
             live = [t for t in row_of if dim_of[t] == dim]  # not since moved to another dimension

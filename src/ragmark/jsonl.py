@@ -3,13 +3,16 @@ append-only keyed store for the caches."""
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import threading
 from pathlib import Path
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterator, TextIO
 
 from .errors import MalformedRecord, MissingField
+
+_TAIL_BLOCK = 1 << 16  # bytes `repair_tail` reads at a time
 
 
 def repair_tail(path: Path) -> None:
@@ -19,7 +22,8 @@ def repair_tail(path: Path) -> None:
     newline; the next append would be glued onto it and both records lost on
     reload. A tail that is a whole JSON value only lacks the newline and gets
     one; anything else is cut. Only the last byte is read when the file is
-    intact. A missing file is left missing.
+    intact, and only the torn tail, found by reading back in blocks, when it is
+    not. A missing file is left missing.
     """
     try:
         fh = path.open("r+b")
@@ -32,39 +36,71 @@ def repair_tail(path: Path) -> None:
         fh.seek(size - 1)
         if fh.read(1) == b"\n":
             return
-        fh.seek(0)
-        data = fh.read()
-        cut = data.rfind(b"\n") + 1
+        cut = 0  # with no "\n" at all, the whole file is the tail
+        start = size
+        while start:  # back from the end, a block at a time, to the last "\n"
+            step = min(start, _TAIL_BLOCK)
+            start -= step
+            fh.seek(start)
+            nl = fh.read(step).rfind(b"\n")
+            if nl >= 0:
+                cut = start + nl + 1
+                break
+        fh.seek(cut)
         try:
-            json.loads(data[cut:])
+            json.loads(fh.read())
         except ValueError:  # includes JSONDecodeError and UnicodeDecodeError
             fh.truncate(cut)
         else:
             fh.write(b"\n")
 
 
-def _lines(path: Path) -> Iterator[str]:
-    """The lines of the UTF-8 file at `path`, read one at a time and split at "\n" only.
+def open_lines(path: Path) -> TextIO:
+    """The UTF-8 file at `path`, opened to be read one line at a time and split at "\n" only.
 
     JSON escapes every line break it knows of except the raw U+2028, U+2029 and U+0085
-    that a writer may leave in a string, so those do not end a line. The file is closed
-    when the loop over the lines ends or is abandoned.
+    that a writer may leave in a string, so those do not end a line.
     """
-    with path.open(encoding="utf-8", newline="\n") as fh:
-        yield from fh
+    return path.open(encoding="utf-8", newline="\n")
+
+
+# The scanner `json.loads` runs: (value, end) of the JSON value at an index,
+# StopIteration when none starts there.
+_scan_once = json.JSONDecoder().scan_once
+
+
+def decode_line(line: str) -> Any:
+    """`json.loads(line)`, for a line as `open_lines` reads it: the same value, or the same error.
+
+    A value that starts the line and runs to its "\n" or its end is taken from the
+    scanner as it is, without `json.loads`'s two wrappers and two whitespace matches; any
+    other line (leading or trailing whitespace, "\r\n", extra data, a BOM, no JSON at all)
+    goes to `json.loads` itself.
+    """
+    try:
+        value, end = _scan_once(line, 0)
+    except (StopIteration, ValueError):
+        return json.loads(line)
+    if end == len(line) or line[end:] == "\n":
+        return value
+    return json.loads(line)
 
 
 def read_records(path: str | Path) -> Iterator[tuple[int, Any]]:
     """(line number, JSON value) per non-blank line; `MalformedRecord` for a line that is not JSON.
 
     Read a record's fields with `require`, which rejects a value that is not an object.
+    The file is closed when the loop over the records ends or is abandoned.
     """
-    for line_no, line in enumerate(_lines(Path(path)), 1):
-        if line.strip():
+    with open_lines(Path(path)) as fh:
+        for line_no, line in enumerate(fh, 1):
+            if line.isspace():  # a line read from a file is never empty
+                continue
             try:
-                yield line_no, json.loads(line)
+                value = decode_line(line)
             except json.JSONDecodeError as exc:
                 raise MalformedRecord(f"line {line_no}: {exc}", line_no) from exc
+            yield line_no, value
 
 
 def require(obj: Any, field: str, line_no: int, kind: type | tuple[type, ...] = object) -> Any:
@@ -101,25 +137,35 @@ class KeyedJsonl:
 
     Opening repairs a torn tail. `load` yields each line's (key, value) as `decode` maps
     it, in file order, skipping a line it rejects with KeyError, TypeError or ValueError;
-    `append` writes whole record lines.
+    a caller that decodes the lines itself opens the store without `decode` and reads
+    `lines`. `append` writes whole record lines.
     """
 
-    def __init__(self, path: str | Path, decode: Callable[[Any], tuple[Any, Any]]):
+    def __init__(self, path: str | Path, decode: Callable[[Any], tuple[Any, Any]] | None = None):
         self.path = Path(path)
         self._decode = decode
         self._lock = threading.Lock()
         self._dir_made = False
         repair_tail(self.path)
 
+    def lines(self) -> TextIO:
+        """The file as `open_lines` opens it; an empty one while there is no file yet."""
+        try:
+            return open_lines(self.path)
+        except FileNotFoundError:
+            return io.StringIO()
+
     def load(self) -> Iterator[tuple[Any, Any]]:
-        if not self.path.exists():
-            return
-        for line in _lines(self.path):
-            try:
-                key, value = self._decode(json.loads(line))
-            except (KeyError, TypeError, ValueError):
-                continue
-            yield key, value
+        decode = self._decode
+        if decode is None:
+            raise TypeError("a KeyedJsonl opened without decode is read through lines()")
+        with self.lines() as fh:
+            for line in fh:
+                try:
+                    key, value = decode(decode_line(line))
+                except (KeyError, TypeError, ValueError):
+                    continue
+                yield key, value
 
     def append(self, lines: str) -> None:
         data = memoryview(lines.encode("utf-8"))

@@ -116,7 +116,8 @@ def retrieve_chain(
         working = sorted(remainder | evidence if len(remainder) < params.t_ambiguity else remainder)
         rows = scorer.rows(working)
         scores = scorer.scores(rows)
-        scores[selected] = -np.inf
+        for taken in selected:
+            scores[taken] = -np.inf
         scoring_calls += len(candidates) - len(selected)
         pick = int(scores.argmax())  # first maximum: the lowest pool position
 

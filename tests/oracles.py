@@ -6,11 +6,13 @@ double loops and the textbook BM25 formula, written once and never optimized.
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 import math
 from collections import Counter
 from itertools import chain
+from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -158,6 +160,45 @@ def decode_values_record(line: str) -> tuple[str, tuple[float, ...]]:
     if len(values) != rec["dim"]:
         raise ValueError("dim does not match the values")
     return rec["term"], values
+
+
+def reference_vector_cache(path: Path) -> dict[int, list[tuple[str, bytes]]]:
+    """The rows a vector cache file loads into: per dimension, (term, little-endian float64
+    bytes) in row order, as the loader read the file before `jsonl.decode_line`.
+
+    The file's last line, when it lacks its newline, counts only if it is a whole JSON
+    value, as `jsonl.repair_tail` leaves it. Each line goes through `json.loads` and
+    `base64.b64decode(..., validate=True)` (or the decimal `values` list), and a line
+    either rejects with KeyError, TypeError or ValueError is skipped. A term's row in a
+    dimension is where its first record of that dimension put it; its bytes are its
+    last record's, and it keeps a row only in the dimension of that last record.
+    """
+    data = path.read_bytes()
+    cut = data.rfind(b"\n") + 1
+    if cut < len(data):
+        try:
+            json.loads(data[cut:])
+        except ValueError:
+            data = data[:cut]
+    order: dict[int, list[str]] = {}
+    latest: dict[str, bytes] = {}
+    for line in data.decode("utf-8").split("\n"):
+        try:
+            rec = json.loads(line)
+            if "f64" in rec:
+                raw = base64.b64decode(rec["f64"], validate=True)
+            else:
+                raw = np.array([float(v) for v in rec["values"]], dtype="<f8").tobytes()
+            if len(raw) % 8 or len(raw) // 8 != rec["dim"]:
+                raise ValueError("dim does not match the values")
+            term = rec["term"]
+        except (KeyError, TypeError, ValueError):
+            continue
+        terms = order.setdefault(len(raw) // 8, [])
+        if term not in terms:
+            terms.append(term)
+        latest[term] = raw
+    return {dim: [(t, latest[t]) for t in terms if len(latest[t]) == 8 * dim] for dim, terms in order.items()}
 
 
 def _vector(surface: str, vectors: Mapping[str, TermVector]) -> TermVector:
