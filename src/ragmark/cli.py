@@ -17,7 +17,6 @@ from .errors import MissingSource, RagmarkError
 from .evaluation import (
     PipelineHandles,
     RunReport,
-    RunSetting,
     load_dataset,
     run_setting,
     sweep_csv,
@@ -107,10 +106,6 @@ def _handles(cfg: RunConfig) -> PipelineHandles:
     )
 
 
-def _setting(cfg: RunConfig) -> RunSetting:
-    return RunSetting(**{f.name: getattr(cfg, f.name) for f in dataclasses.fields(RunSetting)})
-
-
 def _run_reports(cfg: RunConfig, run: Callable[..., dict[str, RunReport]]) -> dict[str, RunReport]:
     """The path `eval` and `sweep` share: load the dataset, build the handles, take the named reports
     of `run(records, handles)`, then write config.json and each `<name>.json` and `<name>.records.jsonl`."""
@@ -174,11 +169,9 @@ def cmd_highlight(query, config_path, kb_path, out_path, k_max_hops, top_k, no_s
     with _exit_codes():
         passages = load_passages(cfg.kb_path)
         index = build_index(passages, cfg.bm25)
-        k = cfg.top_k or index.n_docs
-        retrieved = index.top_k(query, k)
         result = select_evidence(
             query,
-            retrieved,
+            index.top_k(query, cfg.top_k),
             cfg.provider.build(),
             cfg.retriever,
             stepback_client=_chat_client(cfg, cfg.stepback_model, _reply_cache(cfg)) if cfg.stepback else None,
@@ -208,7 +201,7 @@ def cmd_eval(config_path: str, baseline_path: str | None) -> None:
     baseline_accuracy = _baseline_accuracy(baseline_path) if baseline_path else None
     with _exit_codes():
         report = _run_reports(cfg, lambda records, handles: {
-            "report": run_setting(records, _setting(cfg), handles, baseline_accuracy=baseline_accuracy)
+            "report": run_setting(records, cfg, handles, baseline_accuracy=baseline_accuracy)
         })["report"]
         line = f"accuracy: {report.accuracy:.2f} over {len(report.outcomes)} records"
         if report.relative_change is not None:
@@ -227,12 +220,12 @@ def cmd_sweep(config_path: str, k_values: str) -> None:
     cfg = _load_config(config_path)
     try:
         ks = [int(v) for v in k_values.split(",")]
-        sweep_settings(_setting(cfg), ks)
+        sweep_settings(cfg, ks)
     except ValueError as exc:
         _fail(f"config error: --k-values {k_values}: {exc}")
     with _exit_codes():
         reports = _run_reports(cfg, lambda records, handles: {
-            f"report_k{rep.setting.top_k}": rep for rep in topk_sweep(records, _setting(cfg), ks, handles)
+            f"report_k{rep.setting.top_k}": rep for rep in topk_sweep(records, cfg, ks, handles)
         })
         (Path(cfg.output_dir) / "sweep.csv").write_text(sweep_csv(list(reports.values())), encoding="utf-8")
         for rep in reports.values():

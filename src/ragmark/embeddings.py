@@ -298,9 +298,9 @@ class VectorCache(VectorTable):
                         raw = a2b_base64(payload, strict_mode=True) if strict else b64decode(payload, validate=True)
                     else:
                         raw = np.array([float(v) for v in rec["values"]], dtype="<f8").tobytes()
-                    if len(raw) % 8 or len(raw) // 8 != rec["dim"]:
-                        continue  # dim does not match the values
                     term = rec["term"]
+                    if len(raw) % 8 or len(raw) // 8 != rec["dim"] or not isinstance(term, str):
+                        continue  # dim does not match the values, or the key is not text
                 except (KeyError, TypeError, ValueError):
                     continue
                 dim = dim_of[term] = len(raw) // 8
@@ -325,6 +325,8 @@ class VectorCache(VectorTable):
 
 class EmbeddingProvider:
     """Base provider: read-through cache in front of `_fetch`."""
+
+    dimension: int | None = None  # of every vector `_fetch` returns; None: learned from the first block
 
     def __init__(self, cache: VectorCache | None = None, batch_size: int = 64):
         if batch_size < 1:
@@ -355,16 +357,14 @@ class EmbeddingProvider:
         return self.table.view(sorted(wanted))
 
     def _validate(self, batch: list[str], block: np.ndarray) -> None:
+        if self.dimension is None:
+            self.dimension = block.shape[1]
         want = (len(batch), self.dimension)
         if block.shape != want:
             raise DimensionMismatch(f"provider returned a block of shape {block.shape}, expected {want}")
         zero = ~block.any(axis=1)
         if zero.any():
             raise ZeroVector(f"provider returned the zero vector for {batch[int(zero.argmax())]!r}")
-
-    @property
-    def dimension(self) -> int:
-        raise NotImplementedError
 
     def _fetch(self, batch: list[str]) -> np.ndarray:
         """The batch's vectors as one `(len(batch), dim)` float64 array, row i for `batch[i]`."""
@@ -454,19 +454,15 @@ class OfflineEmbeddingProvider(EmbeddingProvider):
         batch_size: int = 64,
     ):
         super().__init__(cache=cache, batch_size=batch_size)
-        self._dimension = dimension
+        self.dimension = dimension
         self.seed = seed
-
-    @property
-    def dimension(self) -> int:
-        return self._dimension
 
     def _fetch(self, batch: list[str]) -> np.ndarray:
         prefixes = (hashlib.sha256(f"{self.seed}:{t}".encode("utf-8")).digest()[:8] for t in batch)
         seeds = np.frombuffer(b"".join(prefixes), dtype=">u8")
         bits = np.random.PCG64(0)
         rng = np.random.Generator(bits)
-        block = np.empty((len(batch), self._dimension))
+        block = np.empty((len(batch), self.dimension))
         for (state, inc), row in zip(_pcg64_states(seeds), block):
             pcg = {"state": state, "inc": inc}
             bits.state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
@@ -496,18 +492,6 @@ class RemoteEmbeddingProvider(EmbeddingProvider):
         self.timeout = timeout
         self.api_key = api_key if api_key is not None else os.environ.get("EMBED_API_KEY")
         self._post = post  # None: `requests.post`, looked up when posting
-        self._dimension: int | None = None
-
-    @property
-    def dimension(self) -> int:
-        if self._dimension is None:
-            raise RuntimeError("dimension unknown before the first fetch")
-        return self._dimension
-
-    def _validate(self, batch: list[str], block: np.ndarray) -> None:
-        if self._dimension is None:
-            self._dimension = block.shape[1]
-        super()._validate(batch, block)
 
     def _fetch(self, batch: list[str]) -> np.ndarray:
         def parse(reply) -> np.ndarray:

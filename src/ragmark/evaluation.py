@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -36,7 +36,6 @@ if TYPE_CHECKING:
     from .store import Bm25Index
 
 TASKS = ("mcq", "claim-verification", "factoid")
-MODEL_FAMILIES = ("mistral", "alpaca", "llama2")
 
 
 @dataclass(frozen=True)
@@ -66,8 +65,8 @@ class RunSetting:
             raise ValueError("evidence-only context requires highlighting")
         if self.top_k is not None and self.top_k < 1:
             raise ValueError(f"top_k must be at least 1, or null for every passage; got {self.top_k}")
-        if self.model_family not in MODEL_FAMILIES:
-            raise ValueError(f"unknown model family {self.model_family!r}; expected one of {MODEL_FAMILIES}")
+        if self.model_family not in _BUILDERS:
+            raise ValueError(f"unknown model family {self.model_family!r}; expected one of {tuple(_BUILDERS)}")
 
 
 @dataclass(frozen=True)
@@ -88,7 +87,7 @@ class RunReport:
 
     def to_summary(self) -> dict:
         return {
-            "setting": self.setting.__dict__,
+            "setting": {f.name: getattr(self.setting, f.name) for f in fields(RunSetting)},
             "n_records": len(self.outcomes),
             "accuracy": self.accuracy,
             "baseline_accuracy": self.baseline_accuracy,
@@ -101,7 +100,7 @@ def relative_change(baseline: float, accuracy: float) -> float:
     return round((accuracy - baseline) / baseline * 100.0, 2)
 
 
-def load_dataset(path: str | Path, task: str | None = None) -> list[EvalRecord]:
+def load_dataset(path: str | Path) -> list[EvalRecord]:
     """Load a benchmark: JSONL of {"query_id","task","question","choices"?,"gold"}."""
     records: list[EvalRecord] = []
     seen: set[str] = set()
@@ -110,10 +109,6 @@ def load_dataset(path: str | Path, task: str | None = None) -> list[EvalRecord]:
         rec_task = require(obj, "task", line_no)
         question = str(require(obj, "question", line_no, TEXT))
         gold = [as_text(g, "gold", line_no) for g in require(obj, "gold", line_no, list)]
-        if task is not None and rec_task != task:
-            raise MalformedRecord(
-                f"line {line_no}: task {rec_task!r} does not match expected {task!r}", line_no
-            )
         if rec_task not in TASKS:
             raise MalformedRecord(f"line {line_no}: unknown task {rec_task!r}", line_no)
         if not question.strip():
@@ -329,29 +324,27 @@ def _evaluate_record(
             context = None
         else:
             if setting.retrieval == "bm25":
-                k = setting.top_k or handles.bm25_index.n_docs
-                passages = handles.bm25_index.top_k(record.question, k)
+                passages = handles.bm25_index.top_k(record.question, setting.top_k)
             else:
                 passages = handles.precomputed.get(record.query_id)
                 if passages is None:
                     raise MissingResults(f"no precomputed results for query id {record.query_id!r}")
-                if setting.top_k is not None:
-                    passages = passages[: setting.top_k]
+                passages = passages[: setting.top_k]
             if setting.highlighting:
                 result = select_evidence(
                     record.question,
-                    list(passages),
+                    passages,
                     handles.embedding_provider,
                     handles.retriever_params,
                     stepback_client=handles.stepback_client if setting.stepback else None,
                     choices=record.choices,
                 )
                 if setting.context_mode == "evidence-only":
-                    context = render_evidence_only(list(passages), list(result.evidence))
+                    context = render_evidence_only(passages, list(result.evidence))
                 else:
                     context = result.document
             else:
-                context = tag_passages(list(passages), [])
+                context = tag_passages(passages, [])
         prompt = build_prompt(record, context, setting.model_family)
         generation = handles.qa_client.complete(prompt)
         return RecordOutcome(

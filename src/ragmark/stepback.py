@@ -58,8 +58,6 @@ Answer:"""
 class LlmClientConfig:
     endpoint: str
     model_name: str
-    temperature: float = 0.0
-    max_tokens: int = 256
     timeout: float = 60.0
     retries: int = 3
 
@@ -92,8 +90,8 @@ class HttpChatClient:
         return {
             "model": self.config.model_name,
             "messages": [{"role": "user", "content": prompt}],
-            "temperature": self.config.temperature,
-            "max_tokens": self.config.max_tokens,
+            "temperature": 0.0,
+            "max_tokens": 256,
         }
 
     def complete(self, prompt: str) -> str:
@@ -116,8 +114,8 @@ def _prompt_hash(model: str, prompt: str) -> str:
 
 
 def _decode_reply(rec: dict) -> tuple[str, str]:
-    if not isinstance(rec["reply"], str):
-        raise TypeError("reply is not text")
+    if not isinstance(rec["prompt_hash"], str) or not isinstance(rec["reply"], str):
+        raise TypeError("prompt_hash or reply is not text")
     return rec["prompt_hash"], rec["reply"]
 
 
@@ -136,15 +134,16 @@ class ReplyCache:
         """The cached reply; `key`, when the caller has it, is `_prompt_hash(model, prompt)`."""
         return self._replies.get(key or _prompt_hash(model, prompt))
 
-    def put(self, model: str, prompt: str, reply: str, key: str | None = None) -> None:
-        """Hold `reply` and append its record, unless a reply to the prompt is held already."""
+    def put(self, model: str, prompt: str, reply: str, key: str | None = None) -> str:
+        """Hold `reply` and append its record, unless a reply to the prompt is held already. Returns
+        the reply held, so callers that race on one prompt all return the one on file."""
         key = key or _prompt_hash(model, prompt)
         with self._lock:
-            if key in self._replies:
-                return
-            self._replies[key] = reply
-            record = {"model": model, "prompt_hash": key, "prompt": prompt, "reply": reply}
-            self._file.append(json.dumps(record) + "\n")
+            if key not in self._replies:
+                self._replies[key] = reply
+                record = {"model": model, "prompt_hash": key, "prompt": prompt, "reply": reply}
+                self._file.append(json.dumps(record) + "\n")
+            return self._replies[key]
 
 
 class CachingChatClient:
@@ -160,9 +159,7 @@ class CachingChatClient:
         cached = self.cache.get(self.model_name, prompt, key)
         if cached is not None:
             return cached
-        reply = self.inner.complete(prompt)
-        self.cache.put(self.model_name, prompt, reply, key)
-        return reply
+        return self.cache.put(self.model_name, prompt, self.inner.complete(prompt), key)
 
 
 class RecordedChatClient:

@@ -124,8 +124,8 @@ class Bm25Index:
             total += idf * tf * (k1 + 1.0) / (tf + norm)
         return total
 
-    def top_k(self, query: str, k: int) -> list[Passage]:
-        """Top-k passages by BM25 score, ties broken by ascending id.
+    def top_k(self, query: str, k: int | None) -> list[Passage]:
+        """Top-k passages by BM25 score, ties broken by ascending id; k None ranks every passage.
 
         Only passages holding a query term are scored. Each of them scores
         above 0 (idf > 0 for df <= N, tf >= 1) and every other passage scores
@@ -133,6 +133,7 @@ class Bm25Index:
         """
         if self.n_docs == 0:
             raise EmptyIndex("index has no documents")
+        k = self.n_docs if k is None else k
         if k < 1:
             raise ValueError("k must be positive")
         surfaces = [t.surface for t in extract_terms(query, drop_stopwords=True)]

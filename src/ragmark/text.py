@@ -12,19 +12,9 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
-from pathlib import Path
 
-
-def load_stopwords(path: str | Path | None = None) -> frozenset[str]:
-    """Load the stopword list, one word per line, from `path` or the bundled file."""
-    if path is not None:
-        text = Path(path).read_text(encoding="utf-8")
-    else:
-        text = resources.files("ragmark.data").joinpath("stopwords.txt").read_text("utf-8")
-    return frozenset(w.strip() for w in text.splitlines() if w.strip())
-
-
-STOPWORDS = load_stopwords()
+# The bundled stopword list, one word per line.
+STOPWORDS = frozenset(resources.files("ragmark.data").joinpath("stopwords.txt").read_text("utf-8").split())
 
 
 @dataclass(frozen=True)
@@ -67,7 +57,7 @@ def _trimmed(s: str) -> str:
     return s[i:j]
 
 
-def normalize_term(raw: str, stopwords: frozenset[str] = STOPWORDS) -> Term | None:
+def normalize_term(raw: str) -> Term | None:
     """Lowercase `raw` and strip surrounding non-alphanumeric characters.
 
     Returns None when stripping leaves nothing (e.g. punctuation-only input).
@@ -76,7 +66,7 @@ def normalize_term(raw: str, stopwords: frozenset[str] = STOPWORDS) -> Term | No
     surface = _trimmed(raw.lower())
     if not surface:
         return None
-    return Term(surface=surface, is_stopword=surface in stopwords)
+    return Term(surface=surface, is_stopword=surface in STOPWORDS)
 
 
 def word_surfaces(text: str) -> list[str]:
@@ -93,13 +83,10 @@ def word_surfaces(text: str) -> list[str]:
     return out
 
 
-def extract_terms(
-    text: str,
-    drop_stopwords: bool = True,
-    stopwords: frozenset[str] = STOPWORDS,
-) -> tuple[Term, ...]:
+def extract_terms(text: str, drop_stopwords: bool = True) -> tuple[Term, ...]:
     """Whitespace-split and normalize `text`, preserving order and duplicates."""
     out = []
+    stopwords = STOPWORDS
     for surface in word_surfaces(text):
         is_stopword = surface in stopwords
         if drop_stopwords and is_stopword:

@@ -5,6 +5,7 @@ import os
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -77,6 +78,23 @@ def test_both_caches_skip_lines_that_are_not_their_records(tmp_path):
     assert cache.get("m", "p") is None
     cache.put("m", "p", "late")  # the null line held no reply, so this one is stored
     assert ReplyCache(replies).get("m", "p") == "late"
+
+
+@pytest.mark.parametrize("key", [["h"], 5], ids=["list", "number"])
+def test_both_caches_skip_a_record_whose_key_is_not_a_string(tmp_path, key):
+    vectors = tmp_path / "vectors.jsonl"
+    records = [{"term": key, "dim": 2, "values": [1.0, 0.0]}, {"term": "night", "dim": 2, "values": [0.0, 1.0]}]
+    vectors.write_text("".join(json.dumps(r) + "\n" for r in records))
+    cache = VectorCache(vectors)
+    assert len(cache) == 1
+    assert cache.get("night").values == (0.0, 1.0)
+
+    replies = tmp_path / "replies.jsonl"
+    q = _prompt_hash("m", "q")
+    records = [{"model": "m", "prompt_hash": key, "prompt": "p", "reply": "lost"},
+               {"model": "m", "prompt_hash": q, "prompt": "q", "reply": "kept"}]
+    replies.write_text("".join(json.dumps(r) + "\n" for r in records))
+    assert ReplyCache(replies)._replies == {q: "kept"}
 
 
 @settings(max_examples=12, deadline=None)

@@ -1,11 +1,16 @@
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from ragmark.cli import main
 from ragmark.config import RunConfig
-from ragmark.stepback import ReplyCache
+from ragmark.stepback import STEPBACK_QUESTION_TEMPLATE, ReplyCache
 
 
 @pytest.fixture
@@ -133,6 +138,21 @@ class TestCmdHighlight:
         result = runner.invoke(main, ["highlight", "--query", "q"])
         assert result.exit_code == 2
 
+    def test_highlight_with_stepback_writes_the_stepback_question(self, runner, kb_file, tmp_path):
+        query = "How do creatures avoid losing water in the heat?"
+        cache_path = tmp_path / "replies.jsonl"
+        cfg = RunConfig(reply_cache_path=str(cache_path))
+        prompt = STEPBACK_QUESTION_TEMPLATE.format(original_question_text=query)
+        ReplyCache(cache_path).put(cfg.stepback_model, prompt, "How do desert animals keep water?")
+        cfg_path = tmp_path / "c.json"
+        cfg.save(cfg_path)
+        out = tmp_path / "out.jsonl"
+        result = runner.invoke(
+            main, ["highlight", "--query", query, "--config", str(cfg_path), "--kb", str(kb_file), "--out", str(out)]
+        )
+        assert result.exit_code == 0, result.output
+        assert json.loads(out.read_text())["stepback"] == "How do desert animals keep water?"
+
 
 class TestCmdEval:
     def setup_run(self, tmp_path, kb_file):
@@ -239,7 +259,8 @@ class TestCmdSweep:
 
 @pytest.mark.parametrize("command", [["eval"], ["sweep", "--k-values", "1,2"]])
 @pytest.mark.parametrize(
-    "setting", [{"retrieval": "quantum"}, {"highlighting": False, "context_mode": "evidence-only"}]
+    "setting",
+    [{"retrieval": "quantum"}, {"highlighting": False, "context_mode": "evidence-only"}, {"context_mode": "x"}],
 )
 def test_invalid_setting_in_config_is_config_error(runner, tmp_path, command, setting):
     cfg_path = tmp_path / "c.json"
@@ -284,3 +305,14 @@ class TestEvalBaseline:
         report = json.loads((tmp_path / "run" / "report.json").read_text())
         assert report["baseline_accuracy"] == 50.0
         assert report["relative_change"] == -100.0
+
+
+def test_the_module_runs_as_a_script():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-m", "ragmark.cli", "--help"], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    listed = re.findall(r"^  (\w+)", result.stdout.split("Commands:")[1], re.MULTILINE)
+    assert listed == ["eval", "highlight", "index", "sweep"]

@@ -277,6 +277,17 @@ class TestRemoteProvider:
         assert len(posts) == 3
         assert len(provider.table) == 0
 
+    def test_dimension_is_learned_from_the_first_block(self):
+        replies = iter([[{"embedding": [1.0, 0.0, 2.0]}], [{"embedding": [1.0, 0.0]}]])
+        provider = RemoteEmbeddingProvider(
+            "http://x", retries=0, post=lambda *a, **k: FakeResponse({"data": next(replies)})
+        )
+        assert provider.dimension is None
+        provider.embed_terms({"a"})
+        assert provider.dimension == 3
+        with pytest.raises(DimensionMismatch, match=r"expected \(1, 3\)"):  # a later block must match it
+            provider.embed_terms({"b"})
+
     def test_zero_vector_names_its_term(self):
         provider, posts = self.replying([{"embedding": [1.0, 0.0]}, {"embedding": [0.0, -0.0]}])
         with pytest.raises(ZeroVector, match="'desert'"):
@@ -297,6 +308,13 @@ class TestProviderConfig:
         assert isinstance(provider, OfflineEmbeddingProvider)
         assert provider.dimension == 16
         assert provider.seed == 3
+
+    def test_build_remote(self, tmp_path):
+        cfg = ProviderConfig(kind="remote", endpoint="http://embed.local", cache_path=str(tmp_path / "c.jsonl"), batch_size=8)
+        provider = cfg.build()
+        assert isinstance(provider, RemoteEmbeddingProvider)
+        assert (provider.endpoint, provider.model_name, provider.batch_size) == ("http://embed.local", cfg.model_name, 8)
+        assert isinstance(provider.cache, VectorCache) and provider.table is provider.cache
 
     def test_default_model_name(self):
         assert ProviderConfig().model_name == "jina-embeddings-v2-base-en"

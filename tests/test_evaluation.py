@@ -126,6 +126,10 @@ class TestBuildPrompt:
         with pytest.raises(UnknownTemplate):
             build_prompt(mcq_record(), None, "gpt-j")
 
+    def test_unknown_task(self):
+        with pytest.raises(UnknownTemplate, match="task 'essay'"):
+            build_prompt(EvalRecord("q", "essay", "Who?", frozenset({"x"})), None, "mistral")
+
 
 class TestInclusionMatch:
     def test_normalization_forces_match(self):
@@ -140,6 +144,10 @@ class TestInclusionMatch:
 
     def test_multi_gold_any_match(self):
         assert inclusion_match("He was a composer and pianist", {"pianist", "footballer"})
+
+    def test_gold_without_letters_or_digits_never_matches(self):
+        assert not inclusion_match("!! anything at all", {"!!"})
+        assert inclusion_match("water", {"...", "water"})
 
     def test_normalizer(self):
         assert normalize_answer("  The: Answer, is PARIS!  ") == "the answer is paris"

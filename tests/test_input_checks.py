@@ -4,20 +4,27 @@ A setting with an unknown model family, or a provider with a dimension or
 batch size below 1, is a config error: `eval` and `sweep` exit 2 and write no
 report. A dataset gold answer that can never be matched, an MCQ gold label
 that is not one of the record's choices, and a repeated query id in the
-precomputed results are load errors that name their line.
+precomputed results are load errors that name their line. An argument out
+of range for a provider, the retriever, BM25, the highlighter or step-back
+raises before any work is done.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 from click.testing import CliRunner
 
 from ragmark.cli import main
 from ragmark.config import RunConfig
-from ragmark.embeddings import ProviderConfig
-from ragmark.errors import DuplicateId, MalformedRecord
+from ragmark.embeddings import OfflineEmbeddingProvider, ProviderConfig
+from ragmark.errors import DuplicateId, EmptyCandidatePool, MalformedRecord, SpanOutOfBounds, UnknownPassage
 from ragmark.evaluation import RunSetting, load_dataset
-from ragmark.store import load_precomputed_results
+from ragmark.highlight import evidence_only, highlight
+from ragmark.retriever import RetrieverParams, retrieve_chain, retrieve_parallel_chains
+from ragmark.stepback import StubChatClient, stepback_choice_concepts, stepback_question
+from ragmark.store import Bm25Params, Passage, build_index, load_precomputed_results
+from ragmark.text import extract_terms, split_sentences
 
 KB = [{"id": "p1", "title": "Deserts", "text": "Deserts are dry. Lions hunt at night."}]
 RECORD = {"query_id": "q0", "task": "factoid", "question": "When do lions hunt?", "gold": ["night"]}
@@ -57,6 +64,41 @@ def test_unknown_model_family_is_rejected():
 def test_provider_dimension_and_batch_size_below_one_are_rejected(field, value):
     with pytest.raises(ValueError, match="dimension and batch_size"):
         ProviderConfig(**{field: value})
+
+
+PASSAGE = Passage("p1", "Deserts", KB[0]["text"])
+SPANS = split_sentences("p1", PASSAGE.text)
+TERMS = extract_terms("When do lions hunt?")
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda: ProviderConfig(kind="cloud"), ValueError, "unknown provider kind 'cloud'"),
+        (lambda: OfflineEmbeddingProvider(batch_size=0), ValueError, "batch_size must be positive"),
+        (lambda: RetrieverParams(n_parallel=0), ValueError, "n_parallel and k_max_hops"),
+        (lambda: RetrieverParams(k_max_hops=0), ValueError, "n_parallel and k_max_hops"),
+        (lambda: RetrieverParams(t_ambiguity=-1), ValueError, "t_ambiguity"),
+        (lambda: Bm25Params(k1=-1), ValueError, "k1 >= 0"),
+        (lambda: Bm25Params(b=1.5), ValueError, "0 <= b <= 1"),
+        (lambda: build_index([PASSAGE]).top_k("lions", 0), ValueError, "k must be positive"),
+        (lambda: RunSetting(context_mode="x"), ValueError, "context mode 'x'"),
+        (lambda: highlight([PASSAGE], [SPANS[0], replace(SPANS[1], start=SPANS[0].end - 3)]), SpanOutOfBounds, "overlapping"),
+        (lambda: evidence_only([PASSAGE], [replace(SPANS[0], passage_id="p9")]), UnknownPassage, "'p9'"),
+        (lambda: retrieve_chain(TERMS, SPANS, {}, first_pick_rank=0), ValueError, "first_pick_rank"),
+        (lambda: retrieve_parallel_chains(TERMS, [], {}), EmptyCandidatePool, "no candidate"),
+        (lambda: stepback_question("", StubChatClient("x")), ValueError, "original question"),
+        (lambda: stepback_choice_concepts("", StubChatClient("x")), ValueError, "choice text"),
+    ],
+    ids=[
+        "provider-kind", "offline-batch-size", "n_parallel", "k_max_hops", "t_ambiguity", "bm25-k1", "bm25-b",
+        "top_k-0", "context-mode", "overlapping-spans", "evidence-of-unknown-passage", "first-pick-rank-0",
+        "no-candidates", "empty-question", "empty-choice",
+    ],
+)
+def test_an_argument_that_could_only_run_wrong_is_refused(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
 
 
 @pytest.mark.parametrize("command", [["eval"], ["sweep", "--k-values", "1"]])

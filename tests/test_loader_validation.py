@@ -114,6 +114,20 @@ def test_dataset_text_field_that_is_not_text(field, bad, tmp_path):
     assert f"field {field!r}" in raises_on_line_2(load_dataset, tmp_path, GOOD_RECORD, bad)
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ({**GOOD_RECORD, "query_id": "q2", "task": "essay"}, "unknown task 'essay'"),
+        ({**GOOD_RECORD, "query_id": "q2", "gold": []}, "empty gold set"),
+        ({**GOOD_RECORD, "query_id": "q2", "choices": {"A": "water"}}, "choices on non-mcq record"),
+        ({**GOOD_RECORD, "query_id": "q2", "task": "claim-verification", "gold": ["maybe"]}, "true/false"),
+    ],
+    ids=["unknown-task", "empty-gold", "choices-on-factoid", "claim-gold"],
+)
+def test_dataset_record_that_cannot_be_scored(bad, message, tmp_path):
+    assert message in raises_on_line_2(load_dataset, tmp_path, GOOD_RECORD, bad)
+
+
 def test_numbers_still_load_as_their_text(tmp_path):
     kb = tmp_path / "kb.jsonl"
     kb.write_text(json.dumps({"id": 7, "title": 1.5, "text": 42}) + "\n", encoding="utf-8")

@@ -1,4 +1,6 @@
 import json
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -70,6 +72,10 @@ class TestChoiceConcepts:
         client = StubChatClient("osmoregulation, water conservation")
         out = stepback_choice_concepts("Their bodies lose less water in the cool night air.", client)
         assert out == "osmoregulation, water conservation"
+
+    def test_echoed_prefix_stripped(self):
+        client = StubChatClient("Answer: osmoregulation")
+        assert stepback_choice_concepts("Their bodies lose less water.", client) == "osmoregulation"
 
     def test_blank_reply_falls_back_to_choice(self):
         out = stepback_choice_concepts("Their bodies lose less water.", StubChatClient(""))
@@ -213,6 +219,23 @@ class TestReplyCache:
         assert hashed == ["p", "q", "p"]
         assert [json.loads(line)["prompt"] for line in path.read_text(encoding="utf-8").splitlines()] == ["p", "q"]
         assert ReplyCache(path).get("m", "q") == "reply"
+
+    def test_callers_racing_on_one_missed_prompt_all_return_the_reply_on_file(self, tmp_path):
+        both_missed = threading.Barrier(2)
+        replies = iter(["reply 0", "reply 1"])
+        lock = threading.Lock()
+
+        def answer(prompt):
+            both_missed.wait(timeout=10)  # each caller has missed the cache before either stores
+            with lock:
+                return next(replies)
+
+        path = tmp_path / "r.jsonl"
+        client = CachingChatClient(StubChatClient(answer, model_name="m"), ReplyCache(path))
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            returned = list(pool.map(client.complete, ["p", "p"]))
+        [line] = path.read_text(encoding="utf-8").splitlines()
+        assert returned == [json.loads(line)["reply"]] * 2
 
     def test_recorded_client_replays_only(self, tmp_path):
         cache = ReplyCache(tmp_path / "r.jsonl")

@@ -65,6 +65,10 @@ class TestTopK:
         index = build_index(passages("a b", "c d"))
         assert len(index.top_k("a", 10)) == 2
 
+    def test_k_none_ranks_every_passage(self):
+        index = build_index(passages("desert sand", "ocean water", "forest trees"))
+        assert index.top_k("ocean", None) == index.top_k("ocean", 3)
+
     def test_matches_reference_implementation(self):
         from oracles import bm25_reference
 

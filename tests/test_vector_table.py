@@ -155,6 +155,11 @@ def test_a_record_of_another_dimension_fails_only_requests_that_pair_it(tmp_path
     assert provider.fetch_count == 0
 
 
+def test_a_view_holds_exactly_the_terms_it_was_asked_for():
+    view = OfflineEmbeddingProvider(dimension=4).embed_terms({"rain", "water"})
+    assert "rain" in view and "water" in view and "sand" not in view and 7 not in view
+
+
 def test_a_cached_zero_vector_raises_once_it_forms_a_pair(tmp_path):
     provider = OfflineEmbeddingProvider(dimension=16, cache=VectorCache(cache_with(tmp_path, "rain", (0.0,) * 16)))
     vectors = provider.embed_terms({"rain", "rare", "water"})
