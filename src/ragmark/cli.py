@@ -28,7 +28,6 @@ from .stepback import (
     CachingChatClient,
     ChatClient,
     HttpChatClient,
-    LlmClientConfig,
     RecordedChatClient,
     ReplyCache,
 )
@@ -46,10 +45,11 @@ def _fail(message: str, code: int = EXIT_CONFIG_ERROR) -> NoReturn:
 
 @contextmanager
 def _exit_codes() -> Iterator[None]:
-    """A `MissingSource` ends the command as a config error, any other `RagmarkError` as a run error."""
+    """A `MissingSource` or a missing input file ends the command as a config error, any other
+    `RagmarkError` as a run error."""
     try:
         yield
-    except MissingSource as exc:
+    except (MissingSource, FileNotFoundError) as exc:
         _fail(f"config error: {exc}")
     except RagmarkError as exc:
         _fail(f"error: {exc}", EXIT_RUN_ERROR)
@@ -82,7 +82,7 @@ def _reply_cache(cfg: RunConfig) -> ReplyCache | None:
 
 def _chat_client(cfg: RunConfig, model_name: str, cache: ReplyCache | None) -> ChatClient | None:
     if cfg.llm_endpoint:
-        client = HttpChatClient(LlmClientConfig(endpoint=cfg.llm_endpoint, model_name=model_name))
+        client = HttpChatClient(cfg.llm_endpoint, model_name)
         return CachingChatClient(client, cache) if cache is not None else client
     if cache is not None:
         return RecordedChatClient(cache, model_name=model_name)
@@ -156,7 +156,7 @@ def cmd_index(kb_path: str, out_path: str) -> None:
 @click.option("--config", "config_path", type=click.Path(exists=True))
 @click.option("--kb", "kb_path", type=click.Path(exists=True))
 @click.option("--out", "out_path", type=click.Path(), default="highlighted.jsonl")
-@click.option("--k", "k_max_hops", type=int, default=None, help="Override hop cap.")
+@click.option("--k", "k_max_hops", type=click.IntRange(min=1), default=None, help="Override hop cap.")
 @click.option("--top-k", type=int, default=None, help="Passages to retrieve.")
 @click.option("--no-stepback", is_flag=True, help="Disable step-back expansion.")
 def cmd_highlight(query, config_path, kb_path, out_path, k_max_hops, top_k, no_stepback) -> None:

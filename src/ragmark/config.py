@@ -38,12 +38,22 @@ class RunConfig(RunSetting):
     qa_model: str = "recorded"
     llm_endpoint: str | None = None
 
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        optional = ("kb_path", "dataset_path", "results_path", "reply_cache_path", "llm_endpoint")
+        for name in ("output_dir", "stepback_model", "qa_model", *optional):
+            value = getattr(self, name)
+            if not isinstance(value, str) and not (value is None and name in optional):
+                raise ValueError(f"config field {name!r} must be a string; got {value!r}")
+
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
         data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ValueError("a config must be a JSON object")
         retired = sorted({"context_window_tokens", "seed"} & data.keys())  # fields no code read
         if retired:
             print(f"note: ignoring retired config fields {', '.join(retired)}", file=sys.stderr)
@@ -55,7 +65,11 @@ class RunConfig(RunSetting):
                 continue
             if key not in names:
                 raise ValueError(f"unknown config field {key!r}")
-            kwargs[key] = nested[key](**value) if key in nested and value is not None else value
+            if key in nested:
+                if not isinstance(value, dict):
+                    raise ValueError(f"config field {key!r} must be an object")
+                value = nested[key](**value)
+            kwargs[key] = value
         return cls(**kwargs)
 
     @classmethod

@@ -85,6 +85,8 @@ class ProviderConfig:
             raise ValueError(f"unknown provider kind {self.kind!r}")
         if (self.kind == "remote") != (self.endpoint is not None):
             raise ValueError("endpoint must be present iff kind is remote")
+        if any(type(v) is not int for v in (self.dimension, self.batch_size, self.seed)):
+            raise ValueError("dimension, batch_size and seed must be integers")
         if self.dimension < 1 or self.batch_size < 1:
             raise ValueError(f"dimension and batch_size must be at least 1, not {self.dimension} and {self.batch_size}")
 

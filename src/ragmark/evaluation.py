@@ -63,8 +63,10 @@ class RunSetting:
             raise ValueError(f"unknown context mode {self.context_mode!r}")
         if not self.highlighting and self.context_mode == "evidence-only":
             raise ValueError("evidence-only context requires highlighting")
-        if self.top_k is not None and self.top_k < 1:
-            raise ValueError(f"top_k must be at least 1, or null for every passage; got {self.top_k}")
+        if type(self.highlighting) is not bool or type(self.stepback) is not bool:
+            raise ValueError("highlighting and stepback must be true or false")
+        if self.top_k is not None and (type(self.top_k) is not int or self.top_k < 1):  # a bool is not an int here
+            raise ValueError(f"top_k must be an integer of at least 1, or null for every passage; got {self.top_k!r}")
         if self.model_family not in _BUILDERS:
             raise ValueError(f"unknown model family {self.model_family!r}; expected one of {tuple(_BUILDERS)}")
 

@@ -135,15 +135,13 @@ def _mistyped(field: str, value: Any, line_no: int, kind: type | tuple[type, ...
 class KeyedJsonl:
     """An append-only JSONL file of keyed records; its caller holds the values.
 
-    Opening repairs a torn tail. `load` yields each line's (key, value) as `decode` maps
-    it, in file order, skipping a line it rejects with KeyError, TypeError or ValueError;
-    a caller that decodes the lines itself opens the store without `decode` and reads
-    `lines`. `append` writes whole record lines.
+    Opening repairs a torn tail. `load(decode)` yields each line's (key, value) as `decode`
+    maps it, in file order, skipping a line it rejects with KeyError, TypeError or ValueError;
+    a caller that decodes the lines itself reads `lines`. `append` writes whole record lines.
     """
 
-    def __init__(self, path: str | Path, decode: Callable[[Any], tuple[Any, Any]] | None = None):
+    def __init__(self, path: str | Path):
         self.path = Path(path)
-        self._decode = decode
         self._lock = threading.Lock()
         self._dir_made = False
         repair_tail(self.path)
@@ -155,10 +153,7 @@ class KeyedJsonl:
         except FileNotFoundError:
             return io.StringIO()
 
-    def load(self) -> Iterator[tuple[Any, Any]]:
-        decode = self._decode
-        if decode is None:
-            raise TypeError("a KeyedJsonl opened without decode is read through lines()")
+    def load(self, decode: Callable[[Any], tuple[Any, Any]]) -> Iterator[tuple[Any, Any]]:
         with self.lines() as fh:
             for line in fh:
                 try:

@@ -32,6 +32,8 @@ class RetrieverParams:
     t_ambiguity: int = 4
 
     def __post_init__(self) -> None:
+        if any(type(v) is not int for v in (self.n_parallel, self.k_max_hops, self.t_ambiguity)):
+            raise ValueError("n_parallel, k_max_hops and t_ambiguity must be integers")
         if self.n_parallel < 1 or self.k_max_hops < 1:
             raise ValueError("n_parallel and k_max_hops must be positive")
         if self.t_ambiguity < 0:
@@ -42,7 +44,6 @@ class RetrieverParams:
 
 @dataclass(frozen=True)
 class Hop:
-    hop_index: int  # 1-based
     sentence: SentenceSpan
     score: AlignmentScore
     remainder_after: frozenset[str]
@@ -97,14 +98,7 @@ def retrieve_chain(
     while True:
         selected.append(pick)
         remainder -= scorer.cover(query, params.m_threshold, pick)
-        hops.append(
-            Hop(
-                hop_index=len(hops) + 1,
-                sentence=candidates[pick],
-                score=scorer.alignment(working, rows, pick),
-                remainder_after=remainder,
-            )
-        )
+        hops.append(Hop(candidates[pick], scorer.alignment(working, rows, pick), remainder))
         if not remainder:
             return EvidenceChain(tuple(hops), "full-coverage", scoring_calls)
         if len(hops) >= params.k_max_hops:

@@ -54,14 +54,6 @@ Original Statement: {answer_text}
 Answer:"""
 
 
-@dataclass(frozen=True)
-class LlmClientConfig:
-    endpoint: str
-    model_name: str
-    timeout: float = 60.0
-    retries: int = 3
-
-
 class ChatClient(Protocol):
     model_name: str
 
@@ -77,28 +69,30 @@ class HttpChatClient:
 
     def __init__(
         self,
-        config: LlmClientConfig,
+        endpoint: str,
+        model_name: str,
+        retries: int = 3,
         api_key: str | None = None,
         post: Callable[..., requests.Response] | None = None,
     ):
-        self.config = config
-        self.model_name = config.model_name
+        self.endpoint = endpoint
+        self.model_name = model_name
+        self.retries = retries
         self.api_key = api_key if api_key is not None else os.environ.get("LLM_API_KEY")
         self._post = post  # None: `requests.post`, looked up when posting
 
     def request_body(self, prompt: str) -> dict:
         return {
-            "model": self.config.model_name,
+            "model": self.model_name,
             "messages": [{"role": "user", "content": prompt}],
             "temperature": 0.0,
             "max_tokens": 256,
         }
 
     def complete(self, prompt: str) -> str:
-        cfg = self.config
         return post_with_retries(
-            self._post, cfg.endpoint, self.request_body(prompt), _first_choice_text, api_key=self.api_key,
-            timeout=cfg.timeout, retries=cfg.retries, unavailable=LlmUnavailable, what="chat endpoint",
+            self._post, self.endpoint, self.request_body(prompt), _first_choice_text, api_key=self.api_key,
+            timeout=60.0, retries=self.retries, unavailable=LlmUnavailable, what="chat endpoint",
         )
 
 
@@ -126,8 +120,8 @@ class ReplyCache:
     """
 
     def __init__(self, path: str | Path):
-        self._file = KeyedJsonl(path, _decode_reply)
-        self._replies = dict(self._file.load())
+        self._file = KeyedJsonl(path)
+        self._replies = dict(self._file.load(_decode_reply))
         self._lock = threading.Lock()
 
     def get(self, model: str, prompt: str, key: str | None = None) -> str | None:

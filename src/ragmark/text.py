@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
 from importlib import resources
 
 # The bundled stopword list, one word per line.
@@ -27,21 +26,14 @@ class Term:
 class SentenceSpan:
     """One sentence inside a passage; slicing text[start:end] is the sentence verbatim.
 
-    `surfaces` are its words' surfaces in order, with duplicates, and `content`
-    the set of them that are not stopwords. Both are computed once, when the
-    passage is split; `terms` builds the `Term`s from them on first use.
+    `content` is the set of its word surfaces that are not stopwords, computed
+    once, when the passage is split.
     """
 
     passage_id: str
     start: int
     end: int
-    surfaces: tuple[str, ...]
     content: frozenset[str]
-
-    @cached_property
-    def terms(self) -> tuple[Term, ...]:
-        """The `extract_terms(..., drop_stopwords=False)` of the sentence."""
-        return tuple(Term(s, s not in self.content) for s in self.surfaces)
 
     def slice(self, passage_text: str) -> str:
         return passage_text[self.start : self.end]
@@ -137,11 +129,7 @@ def _is_abbreviation(word: str) -> bool:
     return word[-1] == "." and (word in ABBREVIATIONS or (len(word) == 2 and word[0].isalpha()))
 
 
-def split_sentences(
-    passage_id: str,
-    passage_text: str,
-    stopwords: frozenset[str] = STOPWORDS,
-) -> tuple[SentenceSpan, ...]:
+def split_sentences(passage_id: str, passage_text: str) -> tuple[SentenceSpan, ...]:
     """Segment `passage_text` into non-overlapping sentence spans.
 
     Splits on '.', '!', '?' followed by whitespace or end of text (so never
@@ -158,8 +146,8 @@ def split_sentences(
     for end in ends:
         while passage_text[pos].isspace():  # stops before `end`: text[end - 1] is not space
             pos += 1
-        surfaces = tuple(word_surfaces(passage_text[pos:end]))
-        spans.append(SentenceSpan(passage_id, pos, end, surfaces, frozenset(surfaces).difference(stopwords)))
+        content = frozenset(word_surfaces(passage_text[pos:end])) - STOPWORDS
+        spans.append(SentenceSpan(passage_id, pos, end, content))
         pos = end
     return tuple(spans)
 

@@ -4,7 +4,7 @@ import pytest
 from ragmark.alignment import align_score, coverage
 from ragmark.embeddings import OfflineEmbeddingProvider
 from ragmark.errors import MissingVector
-from ragmark.text import Term, split_sentences
+from ragmark.text import Term, extract_terms, split_sentences
 
 from oracles import brute_force_align, brute_force_argmax
 
@@ -17,7 +17,8 @@ def make_span(passage_id, text):
 def vectors_for(provider, *texts):
     surfaces = set()
     for text in texts:
-        surfaces |= {t.surface for t in split_sentences("x", text)[0].terms}
+        span = split_sentences("x", text)[0]
+        surfaces |= {t.surface for t in extract_terms(span.slice(text), drop_stopwords=False)}
     return provider.embed_terms(surfaces)
 
 
@@ -121,7 +122,7 @@ class TestCoverage:
             "Atomic mass is approximately the mass number times an atomic mass unit.",
         )
         query = {"atomic", "mass", "protons", "neutrons"}
-        surfaces = query | {t.surface for t in e1.terms} | {t.surface for t in e2.terms}
+        surfaces = query | e1.content | e2.content
         vectors = provider.embed_terms(surfaces)
         state = coverage(query, [e1, e2], vectors, 0.98)
         assert state.remainder == frozenset()
@@ -143,7 +144,7 @@ class TestCoverage:
         query = {"bats", "water", "night", "heat"}
         surfaces = set(query)
         for s in spans:
-            surfaces |= {t.surface for t in s.terms}
+            surfaces |= s.content
         vectors = provider.embed_terms(surfaces)
         prev_covered = frozenset()
         for i in range(len(spans) + 1):

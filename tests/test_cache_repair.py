@@ -124,11 +124,11 @@ def test_vector_cache_cut_anywhere_in_its_last_record_keeps_the_earlier_ones(ter
 def test_an_append_written_in_pieces_keeps_every_byte_once(tmp_path, monkeypatch):
     # os.write may take fewer bytes than it is given; the rest must follow, in order.
     real_write = os.write
-    store = KeyedJsonl(tmp_path / "new" / "log.jsonl", lambda rec: (rec["k"], rec["v"]))
+    store = KeyedJsonl(tmp_path / "new" / "log.jsonl")
     lines = '{"k": "a", "v": "café ☃"}\n{"k": "b", "v": 2}\n'
     with monkeypatch.context() as m:
         m.setattr(os, "write", lambda fd, data: real_write(fd, bytes(data[:5])))
         store.append(lines)
     store.append('{"k": "c", "v": 3}\n')
     assert store.path.read_bytes() == (lines + '{"k": "c", "v": 3}\n').encode("utf-8")
-    assert list(store.load()) == [("a", "café ☃"), ("b", 2), ("c", 3)]
+    assert list(store.load(lambda rec: (rec["k"], rec["v"]))) == [("a", "café ☃"), ("b", 2), ("c", 3)]

@@ -138,6 +138,22 @@ class TestCmdHighlight:
         result = runner.invoke(main, ["highlight", "--query", "q"])
         assert result.exit_code == 2
 
+    def test_a_hop_cap_below_one_is_a_usage_error(self, runner, kb_file, tmp_path):
+        out = tmp_path / "o.jsonl"
+        result = runner.invoke(main, ["highlight", "--query", "q", "--kb", str(kb_file), "--out", str(out), "--k", "0"])
+        assert result.exit_code == 2, result.output
+        assert "Invalid value for '--k'" in result.output
+        assert not out.exists()
+
+    def test_a_config_kb_path_that_does_not_exist_is_config_error(self, runner, tmp_path):
+        cfg_path = tmp_path / "c.json"
+        RunConfig(kb_path=str(tmp_path / "missing.jsonl")).save(cfg_path)
+        out = tmp_path / "o.jsonl"
+        result = runner.invoke(main, ["highlight", "--query", "q", "--config", str(cfg_path), "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "config error: " in result.output and "missing.jsonl" in result.output
+        assert not out.exists()
+
     def test_highlight_with_stepback_writes_the_stepback_question(self, runner, kb_file, tmp_path):
         query = "How do creatures avoid losing water in the heat?"
         cache_path = tmp_path / "replies.jsonl"

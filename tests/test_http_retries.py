@@ -4,7 +4,7 @@ import pytest
 
 from ragmark.embeddings import RemoteEmbeddingProvider
 from ragmark.errors import LlmUnavailable, RemoteUnavailable
-from ragmark.stepback import HttpChatClient, LlmClientConfig
+from ragmark.stepback import HttpChatClient
 
 
 class FixedReplyPost:
@@ -37,7 +37,7 @@ def test_embedding_reply_of_the_wrong_shape_is_retried(payload):
 @pytest.mark.parametrize("payload", [[], {"choices": [None]}, {"choices": [{"message": None}]}])
 def test_chat_reply_of_the_wrong_shape_is_retried(payload):
     post = FixedReplyPost(payload)
-    client = HttpChatClient(LlmClientConfig(endpoint="http://llm.local", model_name="m", retries=1), post=post)
+    client = HttpChatClient("http://llm.local", "m", retries=1, post=post)
     with pytest.raises(LlmUnavailable, match="chat endpoint failed after 2 attempts"):
         client.complete("p")
     assert post.calls == 2

@@ -1,8 +1,9 @@
 """Inputs that could only run wrong are refused up front.
 
-A setting with an unknown model family, or a provider with a dimension or
-batch size below 1, is a config error: `eval` and `sweep` exit 2 and write no
-report. A dataset gold answer that can never be matched, an MCQ gold label
+A setting with an unknown model family, a provider with a dimension or batch
+size below 1, a config value of the wrong JSON type and a configured input
+file that does not exist are config errors: `eval` and `sweep` exit 2 and
+write no report. A dataset gold answer that can never be matched, an MCQ gold label
 that is not one of the record's choices, and a repeated query id in the
 precomputed results are load errors that name their line. An argument out
 of range for a provider, the retriever, BM25, the highlighter or step-back
@@ -101,18 +102,70 @@ def test_an_argument_that_could_only_run_wrong_is_refused(call, error, match):
         call()
 
 
-@pytest.mark.parametrize("command", [["eval"], ["sweep", "--k-values", "1"]])
-@pytest.mark.parametrize(
-    "changes",
-    [{"model_family": "gpt4"}, {"provider": {"dimension": 0}}, {"provider": {"batch_size": 0}}],
-    ids=["model_family", "dimension", "batch_size"],
-)
-def test_eval_and_sweep_exit_2_on_an_invalid_setting(tmp_path, command, changes):
-    path = config_with(tmp_path, **changes)
+def assert_config_error(tmp_path, command, path):
+    """`command` on the config at `path` exits 2 with a config error and writes no report."""
     result = CliRunner().invoke(main, [command[0], "--config", str(path), *command[1:]])
     assert result.exit_code == 2, result.output
     assert "config error: " in result.output
     assert not (tmp_path / "run").exists()
+    return result.output
+
+
+COMMANDS = pytest.mark.parametrize("command", [["eval"], ["sweep", "--k-values", "1"]])
+
+
+@COMMANDS
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"model_family": "gpt4"},
+        {"provider": {"dimension": 0}},
+        {"provider": {"batch_size": 0}},
+        {"bm25": None},
+        {"retriever": None},
+        {"provider": None},
+        {"stepback": "false"},
+        {"highlighting": "no"},
+        {"top_k": True},
+        {"top_k": 2.5},
+        {"provider": {"batch_size": 2.5}},
+        {"provider": {"dimension": 2.5}},
+        {"provider": {"seed": 1.5}},
+        {"retriever": {"n_parallel": 2.5}},
+        {"retriever": {"k_max_hops": True}},
+        {"retriever": {"t_ambiguity": 1.5}},
+        {"kb_path": 5},
+        {"output_dir": 5},
+        {"reply_cache_path": 7},
+        {"qa_model": 3},
+        {"stepback_model": None},
+    ],
+    ids=[
+        "model_family", "dimension", "batch_size", "bm25-null", "retriever-null", "provider-null",
+        "stepback-text", "highlighting-text", "top_k-bool", "top_k-float", "batch_size-float", "dimension-float",
+        "seed-float", "n_parallel-float", "k_max_hops-bool", "t_ambiguity-float", "kb_path-int", "output_dir-int",
+        "reply_cache_path-int", "qa_model-int", "stepback_model-null",
+    ],
+)
+def test_eval_and_sweep_exit_2_on_an_invalid_setting(tmp_path, command, changes):
+    assert_config_error(tmp_path, command, config_with(tmp_path, **changes))
+
+
+@COMMANDS
+@pytest.mark.parametrize(
+    "field, retrieval",
+    [("dataset_path", "bm25"), ("kb_path", "bm25"), ("results_path", "precomputed-dense")],
+)
+def test_eval_and_sweep_exit_2_on_a_missing_input_file(tmp_path, command, field, retrieval):
+    path = config_with(tmp_path, retrieval=retrieval, **{field: str(tmp_path / "missing.jsonl")})
+    assert "missing.jsonl" in assert_config_error(tmp_path, command, path)
+
+
+@pytest.mark.parametrize("text", ["[]", "null", '"bm25"'])
+def test_a_config_that_is_not_a_json_object_is_a_config_error(tmp_path, text):
+    path = tmp_path / "c.json"
+    path.write_text(text, encoding="utf-8")
+    assert "config error: a config must be a JSON object" in assert_config_error(tmp_path, ["eval"], path)
 
 
 def load_error_on_line_2(tmp_path, loader, good, bad, error=MalformedRecord):

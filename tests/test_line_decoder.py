@@ -148,8 +148,8 @@ def test_keyed_store_loads_the_lines_json_loads_accepts(last, tmp_path):
             want.append(repr(json.loads(line)))
         except ValueError:
             pass
-    store = KeyedJsonl(path, lambda value: (None, value))  # its tail repair keeps or cuts the last line
-    assert [repr(v) for _, v in store.load()] == want
+    store = KeyedJsonl(path)  # its tail repair keeps or cuts the last line
+    assert [repr(v) for _, v in store.load(lambda value: (None, value))] == want
 
 
 # f64 payloads: valid ones, bad padding, characters outside the alphabet, non-ASCII

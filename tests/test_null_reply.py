@@ -8,7 +8,6 @@ from ragmark.stepback import (
     CachingChatClient,
     ConjoinedQuery,
     HttpChatClient,
-    LlmClientConfig,
     ReplyCache,
     expand_query,
 )
@@ -32,7 +31,7 @@ class NullContentPost:
 
 
 def null_client(post):
-    return HttpChatClient(LlmClientConfig(endpoint="http://llm.local", model_name="m", retries=2), post=post)
+    return HttpChatClient("http://llm.local", "m", retries=2, post=post)
 
 
 def test_null_content_raises_empty_reply_without_retrying():

@@ -22,7 +22,7 @@ def make_pool(*texts, passage_id="p"):
 def vectors_for(provider, query_terms, pool):
     surfaces = {t.surface for t in query_terms}
     for span in pool:
-        surfaces |= {t.surface for t in span.terms if not t.is_stopword}
+        surfaces |= span.content
     return provider.embed_terms(surfaces)
 
 

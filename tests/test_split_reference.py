@@ -45,13 +45,7 @@ def test_spans_hold_what_extract_terms_gives(text):
     spans = split_sentences("p", text)
     for span in spans:
         terms = extract_terms(span.slice(text), drop_stopwords=False)
-        assert span.surfaces == tuple(t.surface for t in terms)
         assert content_surfaces(span) == {t.surface for t in terms if not t.is_stopword}
-        assert span.terms == terms
     again = split_sentences("p", text)
     assert again == spans
     assert [hash(s) for s in again] == [hash(s) for s in spans]
-    # Equal exactly when the terms are: a stopword list that changes a term changes the span.
-    for span, other in zip(spans, split_sentences("p", text, stopwords=frozenset({"bats"}))):
-        assert (span == other) == (span.terms == other.terms)
-        assert span != other or hash(span) == hash(other)

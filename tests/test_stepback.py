@@ -13,7 +13,6 @@ from ragmark.stepback import (
     CachingChatClient,
     ConjoinedQuery,
     HttpChatClient,
-    LlmClientConfig,
     RecordedChatClient,
     ReplyCache,
     StubChatClient,
@@ -146,11 +145,8 @@ class FakeResponse:
 
 
 class TestHttpChatClient:
-    def config(self):
-        return LlmClientConfig(endpoint="http://llm.local", model_name="m", retries=1)
-
     def test_request_body_shape(self):
-        client = HttpChatClient(self.config(), api_key="k")
+        client = HttpChatClient("http://llm.local", "m", retries=1, api_key="k")
         body = client.request_body("hello")
         assert body == {
             "model": "m",
@@ -161,7 +157,7 @@ class TestHttpChatClient:
 
     def test_complete_returns_first_choice(self):
         resp = FakeResponse({"choices": [{"message": {"content": "the reply"}}]})
-        client = HttpChatClient(self.config(), api_key="k", post=lambda *a, **kw: resp)
+        client = HttpChatClient("http://llm.local", "m", retries=1, api_key="k", post=lambda *a, **kw: resp)
         assert client.complete("p") == "the reply"
 
     def test_unavailable_after_retries(self):
@@ -171,7 +167,7 @@ class TestHttpChatClient:
             calls.append(1)
             return FakeResponse({}, status=500)
 
-        client = HttpChatClient(self.config(), api_key="k", post=post)
+        client = HttpChatClient("http://llm.local", "m", retries=1, api_key="k", post=post)
         with pytest.raises(LlmUnavailable):
             client.complete("p")
         assert len(calls) == 2

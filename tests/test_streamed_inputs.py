@@ -60,8 +60,8 @@ def test_lines_after_a_raw_unicode_line_break_keep_their_numbers(brk, tmp_path):
 @RAW_BREAKS
 def test_a_keyed_store_loads_a_record_holding_a_raw_unicode_line_break(brk, tmp_path):
     path = write_lines(tmp_path / "replies.jsonl", [{"k": "a", "v": f"one{brk}two"}, {"k": "b", "v": "three"}])
-    store = KeyedJsonl(path, lambda rec: (rec["k"], rec["v"]))
-    assert list(store.load()) == [("a", f"one{brk}two"), ("b", "three")]
+    store = KeyedJsonl(path)
+    assert list(store.load(lambda rec: (rec["k"], rec["v"]))) == [("a", f"one{brk}two"), ("b", "three")]
 
 
 def test_crlf_line_ends_and_blank_lines_still_read(tmp_path):
@@ -74,11 +74,11 @@ def test_crlf_line_ends_and_blank_lines_still_read(tmp_path):
 def test_reading_holds_one_line_at_a_time(tmp_path):
     path = write_lines(tmp_path / "big.jsonl", ({"id": f"p{i}", "title": "T", "text": "sand " * 400} for i in range(2000)))
     size = path.stat().st_size  # ≈4 MB
-    store = KeyedJsonl(path, lambda rec: (rec["id"], None))
+    store = KeyedJsonl(path)
     tracemalloc.start()
     try:
         assert sum(1 for _ in read_records(path)) == 2000
-        assert sum(1 for _ in store.load()) == 2000
+        assert sum(1 for _ in store.load(lambda rec: (rec["id"], None))) == 2000
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -115,8 +115,8 @@ def test_the_file_closes_when_the_loop_ends_or_is_abandoned(tmp_path, monkeypatc
     assert fh.closed
 
     assert len(list(read_records(path))) == 3
-    store = KeyedJsonl(path, lambda rec: (rec["k"], rec["v"]))  # its tail repair opens the file too
-    assert dict(store.load()) == {"0": 0, "1": 1, "2": 2}
+    store = KeyedJsonl(path)  # its tail repair opens the file too
+    assert dict(store.load(lambda rec: (rec["k"], rec["v"]))) == {"0": 0, "1": 1, "2": 2}
     with pytest.raises(DuplicateId):  # raised by the caller, between two lines
         load_passages(kb)
     assert len(opened) == 5
