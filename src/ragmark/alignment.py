@@ -16,7 +16,7 @@ gathered by row index from the provider's `VectorTable`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -49,19 +49,26 @@ def _cosine_matrix(
     Raises what the pairwise `cosine` calls would: MissingVector for any row
     surface, and, when there is at least one pair, MissingVector for a column
     surface, DimensionMismatch for unequal dimensions and ZeroVector for a
-    zero vector. Rows and norms are gathered by index from the table behind
-    `vectors`; a plain mapping has the vectors of these surfaces copied into
-    one first.
+    zero vector. The vectors and norms are gathered once, by index, from the
+    table behind `vectors`: the rows, then each column surface that is not a
+    row. A plain mapping has the vectors of these surfaces copied into one first.
     """
-    view = VectorView.of(vectors, [*rows, *cols])
+    view = VectorView.of(vectors, chain(rows, cols))
     if not rows or not cols:
         view.locate(rows)
         return np.zeros((len(rows), len(cols)))
-    data, norms, idx = view.gather([*rows, *cols])
-    if not norms[idx].all():
+    at = {s: i for i, s in enumerate(rows)}
+    extra = [s for s in dict.fromkeys(cols) if s not in at]
+    at.update(zip(extra, range(len(rows), len(rows) + len(extra))))
+    data, norms, idx = view.gather([*rows, *extra])
+    lengths = norms[idx]
+    if not lengths.all():
         raise ZeroVector("cosine undefined for the zero vector")
-    r, c = idx[: len(rows)], idx[len(rows) :]
-    return np.clip((data[r] @ data[c].T) / np.outer(norms[r], norms[c]), -1.0, 1.0)
+    vecs = data[idx]
+    c = np.fromiter(map(at.__getitem__, cols), dtype=np.intp, count=len(cols))
+    sim = vecs[: len(rows)] @ vecs[c].T
+    sim /= np.outer(lengths[: len(rows)], lengths[c])
+    return np.clip(sim, -1.0, 1.0, out=sim)
 
 
 class MaxSimScorer:
@@ -69,12 +76,11 @@ class MaxSimScorer:
 
     `best[r, s]` is max(0, the best cosine of row term r against sentence s's
     content terms), and 0 for a sentence without content terms. The cosines
-    come from one matrix over the rows and the pool's content terms, so each
-    (term, term) pair is computed once however many rankings use it; a term
-    against itself is exactly 1.0 there, as in scalar `cosine`. A
-    ranking is a row sum, added in query-term order, so every score is the
-    same float sum the per-sentence definition gives. Built for one request
-    and dropped with it.
+    come from one matrix product of the rows against one column per sentence
+    and content term, which every ranking reuses; a term against itself is
+    exactly 1.0 there, as in scalar `cosine`. A ranking is a row sum, added
+    in query-term order, so every score is the same float sum the
+    per-sentence definition gives. Built for one request and dropped with it.
     """
 
     def __init__(
@@ -84,9 +90,19 @@ class MaxSimScorer:
         row_surfaces: Iterable[str],
     ):
         self.pool = tuple(pool)
-        cols = sorted(set().union(*(span.content for span in self.pool)))
         rows = sorted(set(row_surfaces))
         self._row = {s: i for i, s in enumerate(rows)}
+        # The n sentences of w content terms form one group, laid out width-major: w runs
+        # of n columns, run k holding each sentence's k-th term in sorted order. Not in set
+        # order: that follows the string hash seed, and a column's place sets the last bits
+        # of its cosines. A group's MaxSim is the max of its runs; a sentence without terms keeps 0.
+        by_width: dict[int, list[int]] = {}
+        for pos, span in enumerate(self.pool):
+            if span.content:
+                by_width.setdefault(len(span.content), []).append(pos)
+        cols: list[str] = []
+        for positions in by_width.values():
+            cols.extend(chain.from_iterable(zip(*map(sorted, [self.pool[p].content for p in positions]))))
         sim = _cosine_matrix(rows, cols, vectors)
         # A term against itself has cosine exactly 1.0, as scalar `cosine` gives it, so
         # a term a sentence holds verbatim has MaxSim 1.0 there. The product rounds
@@ -95,21 +111,20 @@ class MaxSimScorer:
         row_of_col = np.fromiter(map(self._row.get, cols, repeat(-1)), dtype=np.intp, count=len(cols))
         verbatim = row_of_col >= 0
         sim[row_of_col[verbatim], verbatim.nonzero()[0]] = 1.0
-
-        # Sentences with the same number of content terms take one gather and
-        # one max; a sentence without content terms keeps 0.
-        col_index = {s: i for i, s in enumerate(cols)}
-        by_width: dict[int, list[int]] = {}
-        for pos, span in enumerate(self.pool):
-            if span.content:
-                by_width.setdefault(len(span.content), []).append(pos)
         best = np.zeros((len(rows), len(self.pool)))
-        if rows:
-            for positions in by_width.values():
-                idx = np.array([[col_index[s] for s in self.pool[p].content] for p in positions])
-                best[:, positions] = sim[:, idx].max(axis=2)
-        # max(0.0, cosine): a term never contributes a negative similarity.
-        self._best = np.where(best > 0.0, best, 0.0)
+        start = 0
+        for width, positions in by_width.items():
+            n = len(positions)
+            group = sim[:, start : start + n]
+            for k in range(1, width):
+                np.maximum(group, sim[:, start + k * n : start + (k + 1) * n], out=group)
+            if n == len(self.pool):
+                best = group
+            else:
+                best[:, positions] = group
+            start += width * n
+        # max(0.0, cosine), as `np.where(best > 0.0, best, 0.0)` bit for bit: NaN and -0.0 give 0.0.
+        self._best = np.fmax(best, 0.0) + 0.0
         self._columns: dict[int, list[float]] = {}
         self._rankings: dict[tuple[str, ...], np.ndarray] = {}
         self._covers: dict[tuple[frozenset[str], float, int], frozenset[str]] = {}

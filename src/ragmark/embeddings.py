@@ -87,6 +87,8 @@ class ProviderConfig:
             raise ValueError("endpoint must be present iff kind is remote")
         if any(type(v) is not int for v in (self.dimension, self.batch_size, self.seed)):
             raise ValueError("dimension, batch_size and seed must be integers")
+        if not isinstance(self.model_name, str) or {type(self.endpoint), type(self.cache_path)} - {str, type(None)}:
+            raise ValueError("model_name must be a string, and endpoint and cache_path strings or null")
         if self.dimension < 1 or self.batch_size < 1:
             raise ValueError(f"dimension and batch_size must be at least 1, not {self.dimension} and {self.batch_size}")
 
@@ -483,7 +485,6 @@ class RemoteEmbeddingProvider(EmbeddingProvider):
         cache: VectorCache | None = None,
         batch_size: int = 64,
         retries: int = 3,
-        timeout: float = 30.0,
         api_key: str | None = None,
         post: Callable[..., requests.Response] | None = None,
     ):
@@ -491,7 +492,6 @@ class RemoteEmbeddingProvider(EmbeddingProvider):
         self.endpoint = endpoint
         self.model_name = model_name
         self.retries = retries
-        self.timeout = timeout
         self.api_key = api_key if api_key is not None else os.environ.get("EMBED_API_KEY")
         self._post = post  # None: `requests.post`, looked up when posting
 
@@ -510,6 +510,6 @@ class RemoteEmbeddingProvider(EmbeddingProvider):
 
         body = {"model": self.model_name, "input": batch}
         return post_with_retries(
-            self._post, self.endpoint, body, parse, api_key=self.api_key, timeout=self.timeout,
+            self._post, self.endpoint, body, parse, api_key=self.api_key, timeout=30.0,
             retries=self.retries, unavailable=RemoteUnavailable, what="embedding endpoint",
         )

@@ -19,7 +19,7 @@ import numpy as np
 
 from ragmark.embeddings import TermVector
 from ragmark.errors import DimensionMismatch, MissingVector, ZeroVector
-from ragmark.text import extract_terms
+from ragmark.text import SentenceSpan, extract_terms
 
 
 def brute_force_align(query_vecs: list[np.ndarray], sentence_vecs: list[np.ndarray]) -> float:
@@ -239,3 +239,26 @@ def reference_cosine_matrix(
     at = {s: i for i, s in enumerate(surfaces)}
     r, c = [at[s] for s in rows], [at[s] for s in cols]
     return np.clip((m[r] @ m[c].T) / np.outer(norms[r], norms[c]), -1.0, 1.0)
+
+
+def reference_maxsim(
+    pool: Sequence[SentenceSpan], vectors: Mapping[str, TermVector], row_surfaces: Sequence[str]
+) -> np.ndarray:
+    """The MaxSim matrix as `alignment.MaxSimScorer` built it before its width-major columns:
+    one `reference_cosine_matrix` of the sorted unique row surfaces against the sorted unique
+    content surfaces of the pool, then a per-sentence max, one entry at a time.
+
+    `best[r, s]` is max(0, the best cosine of row r against sentence s's content terms),
+    with a row's term against itself taken as exactly 1.0, and 0 for a sentence without
+    content terms.
+    """
+    rows = sorted(set(row_surfaces))
+    cols = sorted(set().union(*(span.content for span in pool)))
+    sim = reference_cosine_matrix(rows, cols, vectors)
+    at = {s: j for j, s in enumerate(cols)}
+    best = np.zeros((len(rows), len(pool)))
+    for i, row in enumerate(rows):
+        for p, span in enumerate(pool):
+            for s in span.content:
+                best[i, p] = max(best[i, p], 1.0 if s == row else float(sim[i, at[s]]))
+    return best

@@ -200,6 +200,7 @@ class TestRemoteProvider:
         def fake_post(url, json=None, headers=None, timeout=None):
             seen["url"] = url
             seen["body"] = json
+            seen["timeout"] = timeout
             data = [{"embedding": [float(i + 1), 0.0]} for i in range(len(json["input"]))]
             return FakeResponse({"data": data})
 
@@ -209,6 +210,7 @@ class TestRemoteProvider:
         out = provider.embed_terms(["beta", "alpha"])
         assert seen["url"] == "http://embed.local/v1"
         assert seen["body"]["model"] == "test-model"
+        assert seen["timeout"] == 30.0
         assert seen["body"]["input"] == ["alpha", "beta"]  # sorted unique terms
         assert out["alpha"].values == (1.0, 0.0)
         assert out["beta"].values == (2.0, 0.0)

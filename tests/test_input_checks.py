@@ -139,12 +139,18 @@ COMMANDS = pytest.mark.parametrize("command", [["eval"], ["sweep", "--k-values",
         {"reply_cache_path": 7},
         {"qa_model": 3},
         {"stepback_model": None},
+        {"provider": {"cache_path": 5}, "highlighting": True},
+        {"provider": {"cache_path": False}, "highlighting": True},
+        {"provider": {"model_name": None}, "highlighting": True},
+        {"provider": {"model_name": 3}, "highlighting": True},
+        {"provider": {"kind": "remote", "endpoint": 5}},
     ],
     ids=[
         "model_family", "dimension", "batch_size", "bm25-null", "retriever-null", "provider-null",
         "stepback-text", "highlighting-text", "top_k-bool", "top_k-float", "batch_size-float", "dimension-float",
         "seed-float", "n_parallel-float", "k_max_hops-bool", "t_ambiguity-float", "kb_path-int", "output_dir-int",
-        "reply_cache_path-int", "qa_model-int", "stepback_model-null",
+        "reply_cache_path-int", "qa_model-int", "stepback_model-null", "cache_path-int", "cache_path-bool",
+        "provider-model_name-null", "provider-model_name-int", "endpoint-int",
     ],
 )
 def test_eval_and_sweep_exit_2_on_an_invalid_setting(tmp_path, command, changes):
