@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 # `cosine` stays importable from here as the scalar definition the matrix reproduces.
-from .embeddings import TermVector, VectorView, cosine  # noqa: F401
+from .embeddings import TermVector, VectorView, cosine, lookup  # noqa: F401
 from .errors import ZeroVector
 from .text import SentenceSpan, Term
 
@@ -51,16 +51,16 @@ def _cosine_matrix(
     surface, DimensionMismatch for unequal dimensions and ZeroVector for a
     zero vector. The vectors and norms are gathered once, by index, from the
     table behind `vectors`: the rows, then each column surface that is not a
-    row. A plain mapping has the vectors of these surfaces copied into one first.
+    row. A plain mapping has the vectors of these surfaces copied into one block first.
     """
-    view = VectorView.of(vectors, chain(rows, cols))
     if not rows or not cols:
-        view.locate(rows)
+        lookup(vectors, rows)
         return np.zeros((len(rows), len(cols)))
     at = {s: i for i, s in enumerate(rows)}
     extra = [s for s in dict.fromkeys(cols) if s not in at]
     at.update(zip(extra, range(len(rows), len(rows) + len(extra))))
-    data, norms, idx = view.gather([*rows, *extra])
+    surfaces = [*rows, *extra]
+    data, norms, idx = VectorView.of(vectors, surfaces).gather(surfaces)
     lengths = norms[idx]
     if not lengths.all():
         raise ZeroVector("cosine undefined for the zero vector")

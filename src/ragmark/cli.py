@@ -13,7 +13,7 @@ from typing import Callable, Iterator, NoReturn
 import click
 
 from .config import RunConfig
-from .errors import MissingSource, RagmarkError
+from .errors import DimensionMismatch, MissingSource, RagmarkError
 from .evaluation import (
     PipelineHandles,
     RunReport,
@@ -45,11 +45,11 @@ def _fail(message: str, code: int = EXIT_CONFIG_ERROR) -> NoReturn:
 
 @contextmanager
 def _exit_codes() -> Iterator[None]:
-    """A `MissingSource` or a missing input file ends the command as a config error, any other
-    `RagmarkError` as a run error."""
+    """A `MissingSource`, a missing input file or a vector cache of another dimension ends the command
+    as a config error, any other `RagmarkError` as a run error."""
     try:
         yield
-    except (MissingSource, FileNotFoundError) as exc:
+    except (MissingSource, DimensionMismatch, FileNotFoundError) as exc:
         _fail(f"config error: {exc}")
     except RagmarkError as exc:
         _fail(f"error: {exc}", EXIT_RUN_ERROR)

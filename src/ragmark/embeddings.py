@@ -12,11 +12,11 @@ In memory each vector is held once, as a float64 row of a `VectorTable`;
 `embed_terms` returns a `VectorView` over those rows, and a `TermVector` is
 built only when one is looked up. A provider's `_fetch` returns a batch as one
 `(len(batch), dim)` float64 block, which goes into the rows in one copy and
-into the cache file in one write. Vectors are cached in an append-only JSONL
-file, one record per term with the exact float64 bits in base64, which load
-into rows as one block per dimension. A torn last line (crash mid-write) is
-repaired on open, so later appends start on a fresh line, and any other
-corrupt record is skipped on load.
+into the cache file in one write; a table holds one dimension. Vectors are
+cached in an append-only JSONL file, one record per term with the exact
+float64 bits in base64, which load into rows as one block. A torn last line
+(crash mid-write) is repaired on open, so later appends start on a fresh line,
+and any other corrupt record is skipped on load.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import os
 import sys
 import threading
 from dataclasses import dataclass
-from itertools import count, repeat
+from itertools import count
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
@@ -106,83 +106,51 @@ class ProviderConfig:
         )
 
 
-class _Rows:
-    """The vectors of one dimension as the rows of a growing float64 array, with the rows' norms.
+class VectorTable:
+    """Term vectors of one dimension, each held once as a float64 row: surface -> row.
 
-    Rows arrive only as blocks, through `extend`, which computes the new rows'
-    norms as it stores them: one `np.linalg.norm(rows, axis=1)`, the same floats
-    a matrix of any other rows holding them gives. Growing copies the rows into
-    new arrays, and `arrays` is replaced as one `(data, norms)` tuple once the
-    rows and their norms are written, so readers take no lock: the arrays they
-    hold stay valid for the rows they held.
+    The table's dimension is the width of its first block, and `put_rows` refuses
+    a block of any other width before it stores or appends any of it. Rows arrive
+    only as blocks, their norms computed as they are stored: the floats
+    `np.linalg.norm(rows, axis=1)` gives in any matrix holding them. `arrays` is
+    replaced as one `(data, norms)` tuple once a block is written, so readers
+    take no lock. Storing a surface again points it at its new row. `lock` is
+    held by a provider from its check for missing surfaces until it has stored
+    what it fetched; `put_rows` takes a lock of its own.
     """
 
-    def __init__(self, dim: int):
-        self.dim = dim
-        self._lock = threading.Lock()
-        self.arrays = (np.empty((16, dim)), np.empty(16))
+    def __init__(self):
+        self.lock = threading.Lock()
+        self._write_lock = threading.Lock()
+        self.dim: int | None = None
+        self.arrays = (np.empty((0, 0)), np.empty(0))
         self._n = 0
+        self._at: dict[str, int] = {}
+        self._file: KeyedJsonl | None = None
 
-    def extend(self, block: np.ndarray) -> int:
-        """Append the rows of the 2-D `block` in one copy; the index of the first."""
-        with self._lock:
+    def put_rows(self, surfaces: Sequence[str], block: np.ndarray) -> None:
+        """Store row i of the `(len(surfaces), dim)` `block` as the vector of `surfaces[i]`;
+        a table with a file (a `VectorCache`) also appends the rows' records to it in one write."""
+        with self._write_lock:
+            dim = block.shape[1]
+            if self.dim is None:
+                self.dim, self.arrays = dim, (np.empty((16, dim)), np.empty(16))
+            elif dim != self.dim:
+                raise DimensionMismatch(f"a block of dimension {dim} for a table of dimension {self.dim}")
             data, norms = self.arrays
             n, end = self._n, self._n + len(block)
             if end > len(data):
                 size = max(2 * len(data), end)
-                data, norms = np.empty((size, self.dim)), np.empty(size)
+                data, norms = np.empty((size, dim)), np.empty(size)
                 data[:n], norms[:n] = self.arrays[0][:n], self.arrays[1][:n]
             data[n:end] = block
             with np.errstate(over="ignore", invalid="ignore"):  # an inf or nan row fails only once paired
                 norms[n:end] = np.linalg.norm(data[n:end], axis=1)
             self.arrays = (data, norms)
             self._n = end
-            return n
-
-
-def _term_vector(surface: str, at: tuple[_Rows, int]) -> TermVector:
-    rows, i = at
-    return TermVector(surface, tuple(rows.arrays[0][i].tolist()))
-
-
-class VectorTable:
-    """Term vectors held once each, as float64 rows: surface -> (rows of its dimension, row).
-
-    Storing a surface again points it at its new row. Vectors of a dimension
-    other than the rest's (a cache written with another model) get rows of
-    their own, so only a request that pairs them with the rest fails. Rows are
-    only appended, a block at a time, so readers take no lock; `lock` is held
-    by a provider from its check for missing surfaces until it has stored what
-    it fetched.
-    """
-
-    def __init__(self):
-        self.lock = threading.Lock()
-        self._at: dict[str, tuple[_Rows, int]] = {}
-        self._by_dim: dict[int, _Rows] = {}
-        self._file: KeyedJsonl | None = None
-
-    def _rows(self, dim: int) -> _Rows:
-        rows = self._by_dim.get(dim)
-        if rows is None:
-            rows = self._by_dim[dim] = _Rows(dim)
-        return rows
-
-    def put_rows(self, surfaces: Sequence[str], block: np.ndarray) -> None:
-        """Store row i of the `(len(surfaces), dim)` `block` as the vector of `surfaces[i]`;
-        a table with a file (a `VectorCache`) also appends the rows' records to it in one write."""
-        rows = self._rows(block.shape[1])
-        self._at.update(zip(surfaces, zip(repeat(rows), count(rows.extend(block)))))
+            self._at.update(zip(surfaces, count(n)))
         if self._file is not None:
             self._file.append(_encode_rows(surfaces, block))
-
-    def put_all(self, vectors: Mapping[str, Sequence[float]]) -> None:
-        """Store each surface's vector, with one block per dimension."""
-        by_dim: dict[int, dict[str, Sequence[float]]] = {}
-        for surface, values in vectors.items():
-            by_dim.setdefault(len(values), {})[surface] = values
-        for held in by_dim.values():
-            self.put_rows(list(held), np.array(list(held.values()), dtype=np.float64))
 
     def __contains__(self, surface: object) -> bool:
         return surface in self._at
@@ -194,11 +162,18 @@ class VectorTable:
         return len(self._at)
 
     def get(self, surface: str) -> TermVector | None:
-        at = self._at.get(surface)
-        return None if at is None else _term_vector(surface, at)
+        return self.view([surface])[surface] if surface in self._at else None
 
     def view(self, surfaces: Iterable[str]) -> VectorView:
-        return VectorView({s: self._at[s] for s in surfaces})
+        return VectorView(self, {s: self._at[s] for s in surfaces})
+
+
+def lookup(vectors: Mapping[str, object], surfaces: Iterable[str]) -> list:
+    """`vectors[s]` for each of `surfaces`; MissingVector for the first one `vectors` lacks."""
+    try:
+        return [vectors[s] for s in surfaces]
+    except KeyError as exc:
+        raise MissingVector(f"no embedding for term {exc.args[0]!r}") from None
 
 
 class VectorView(Mapping[str, TermVector]):
@@ -208,21 +183,27 @@ class VectorView(Mapping[str, TermVector]):
     `__getitem__`.
     """
 
-    def __init__(self, at: dict[str, tuple[_Rows, int]]):
+    def __init__(self, table: VectorTable, at: dict[str, int]):
+        self._table = table
         self._at = at
 
     @classmethod
-    def of(cls, vectors: Mapping[str, TermVector], surfaces: Iterable[str]) -> VectorView:
-        """`vectors` itself if it is a view, else the vectors it has for `surfaces` copied into a table."""
+    def of(cls, vectors: Mapping[str, TermVector], surfaces: Sequence[str]) -> VectorView:
+        """`vectors` itself if it is a view, else its vectors of `surfaces` copied into one block of a new
+        table: MissingVector for the first surface it lacks, then DimensionMismatch unless they share a dimension."""
         if isinstance(vectors, VectorView):
             return vectors
-        held = {s: vectors[s].values for s in surfaces if s in vectors}
+        values = [v.values for v in lookup(vectors, surfaces)]
+        dims = sorted(set(map(len, values)))
+        if len(dims) > 1:
+            raise DimensionMismatch(f"term vectors of dimensions {dims}")
         table = VectorTable()
-        table.put_all(held)
-        return table.view(held)
+        if values:
+            table.put_rows(surfaces, np.array(values, dtype=np.float64))
+        return table.view(surfaces)
 
     def __getitem__(self, surface: str) -> TermVector:
-        return _term_vector(surface, self._at[surface])
+        return TermVector(surface, tuple(self._table.arrays[0][self._at[surface]].tolist()))
 
     def __contains__(self, surface: object) -> bool:
         return surface in self._at
@@ -233,25 +214,13 @@ class VectorView(Mapping[str, TermVector]):
     def __len__(self) -> int:
         return len(self._at)
 
-    def locate(self, surfaces: Iterable[str]) -> list[tuple[_Rows, int]]:
-        """Where each surface's row is; MissingVector for the first surface without one."""
-        try:
-            return [self._at[s] for s in surfaces]
-        except KeyError as exc:
-            raise MissingVector(f"no embedding for term {exc.args[0]!r}") from None
+    def locate(self, surfaces: Iterable[str]) -> list[int]:
+        """The row of each surface; MissingVector for the first surface without one."""
+        return lookup(self._at, surfaces)
 
     def gather(self, surfaces: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(row array, norm array, index of each surface's row in them) for a non-empty `surfaces`.
-
-        MissingVector as `locate`; DimensionMismatch when the vectors do not all
-        have one dimension.
-        """
-        at = self.locate(surfaces)
-        blocks = {rows for rows, _ in at}
-        if len(blocks) > 1:
-            raise DimensionMismatch(f"term vectors of dimensions {sorted(b.dim for b in blocks)}")
-        data, norms = blocks.pop().arrays
-        return data, norms, np.array([i for _, i in at], dtype=np.intp)
+        """(row array, norm array, index of each surface's row in them); MissingVector as `locate`."""
+        return (*self._table.arrays, np.array(self.locate(surfaces), dtype=np.intp))
 
 
 def _encode_rows(terms: Sequence[str], block: np.ndarray) -> str:
@@ -280,9 +249,10 @@ class VectorCache(VectorTable):
     back every vector bit for bit; a record written before it holds the decimal
     `values` list instead. The file is read a line at a time, in one loop: each
     line is decoded by `jsonl.decode_line`, and each record's bytes go straight
-    into one growing buffer for its dimension, or over the term's earlier row
-    there; each buffer is then stored as one block. A later record for a term
-    wins, also one of another dimension, and a corrupt record is skipped. The
+    into one growing buffer, or over the term's earlier row there; the buffer
+    is then stored as one block. A later record for a term wins, a corrupt
+    record is skipped, and a record of another dimension than the first valid
+    one stops the open with `DimensionMismatch`, naming the path and line. The
     file is read only here, and is attached once it is loaded, so loading
     appends nothing and every later stored block is appended.
     """
@@ -290,11 +260,10 @@ class VectorCache(VectorTable):
     def __init__(self, path: str | Path):
         super().__init__()
         file = KeyedJsonl(path)
-        dim_of: dict[str, int] = {}  # term -> the dimension of its latest record
-        buffers: dict[int, tuple[bytearray, dict[str, int]]] = {}  # dim -> (rows' bytes, term -> row)
+        buf, row_of, size = bytearray(), {}, None  # the rows' bytes, term -> row, bytes per row
         strict, a2b_base64, b64decode = _STRICT_A2B, binascii.a2b_base64, base64.b64decode
         with file.lines() as fh:
-            for line in fh:
+            for line_no, line in enumerate(fh, 1):
                 try:
                     rec = decode_line(line)
                     if "f64" in rec:
@@ -307,23 +276,21 @@ class VectorCache(VectorTable):
                         continue  # dim does not match the values, or the key is not text
                 except (KeyError, TypeError, ValueError):
                     continue
-                dim = dim_of[term] = len(raw) // 8
-                held = buffers.get(dim)
-                if held is None:
-                    held = buffers[dim] = (bytearray(), {})
-                buf, row_of = held
+                if len(raw) != size:
+                    if size is not None:
+                        raise DimensionMismatch(
+                            f"{file.path} line {line_no}: a vector of dimension {len(raw) // 8}"
+                            f" in a cache of dimension {size // 8}"
+                        )
+                    size = len(raw)
                 i = row_of.get(term)
                 if i is None:
                     row_of[term] = len(row_of)
                     buf += raw
                 else:
-                    buf[i * len(raw) : (i + 1) * len(raw)] = raw
-        for dim, (buf, row_of) in buffers.items():
-            block = np.frombuffer(buf, dtype="<f8").reshape(len(row_of), dim)
-            live = [t for t in row_of if dim_of[t] == dim]  # not since moved to another dimension
-            if len(live) < len(row_of):
-                block = block[[row_of[t] for t in live]]
-            self.put_rows(live, block)
+                    buf[i * size : (i + 1) * size] = raw
+        if row_of:
+            self.put_rows(list(row_of), np.frombuffer(buf, dtype="<f8").reshape(len(row_of), size // 8))
         self._file = file
 
 
@@ -458,6 +425,8 @@ class OfflineEmbeddingProvider(EmbeddingProvider):
         batch_size: int = 64,
     ):
         super().__init__(cache=cache, batch_size=batch_size)
+        if cache is not None and cache.dim not in (None, dimension):
+            raise DimensionMismatch(f"{cache._file.path}: vectors of dimension {cache.dim}, not {dimension}")
         self.dimension = dimension
         self.seed = seed
 

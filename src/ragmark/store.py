@@ -40,6 +40,9 @@ class Bm25Params:
     b: float = 0.75
 
     def __post_init__(self) -> None:
+        for name, value in (("k1", self.k1), ("b", self.b)):
+            if type(value) not in (int, float):
+                raise ValueError(f"{name} must be a number, not {value!r}")
         if self.k1 < 0 or not 0.0 <= self.b <= 1.0:
             raise ValueError("require k1 >= 0 and 0 <= b <= 1")
 

@@ -1,11 +1,13 @@
 """Inputs that could only run wrong are refused up front.
 
 A setting with an unknown model family, a provider with a dimension or batch
-size below 1, a config value of the wrong JSON type and a configured input
-file that does not exist are config errors: `eval` and `sweep` exit 2 and
-write no report. A dataset gold answer that can never be matched, an MCQ gold label
-that is not one of the record's choices, and a repeated query id in the
-precomputed results are load errors that name their line. An argument out
+size below 1, a config value of the wrong JSON type (a bool or text where a
+number belongs), a configured input file that does not exist and a vector
+cache of another dimension than its provider, or of two, are config errors:
+`eval` and `sweep` exit 2 and write no report, and so does `highlight`. A
+dataset gold answer that can never be matched, an MCQ gold label that is not
+one of the record's choices, and a repeated query id in the precomputed
+results are load errors that name their line. An argument out
 of range for a provider, the retriever, BM25, the highlighter or step-back
 raises before any work is done.
 """
@@ -82,6 +84,9 @@ TERMS = extract_terms("When do lions hunt?")
         (lambda: RetrieverParams(t_ambiguity=-1), ValueError, "t_ambiguity"),
         (lambda: Bm25Params(k1=-1), ValueError, "k1 >= 0"),
         (lambda: Bm25Params(b=1.5), ValueError, "0 <= b <= 1"),
+        (lambda: RetrieverParams(m_threshold=True), ValueError, "m_threshold must be a number, not True"),
+        (lambda: Bm25Params(k1="1"), ValueError, "k1 must be a number, not '1'"),
+        (lambda: Bm25Params(b=None), ValueError, "b must be a number, not None"),
         (lambda: build_index([PASSAGE]).top_k("lions", 0), ValueError, "k must be positive"),
         (lambda: RunSetting(context_mode="x"), ValueError, "context mode 'x'"),
         (lambda: highlight([PASSAGE], [SPANS[0], replace(SPANS[1], start=SPANS[0].end - 3)]), SpanOutOfBounds, "overlapping"),
@@ -93,6 +98,7 @@ TERMS = extract_terms("When do lions hunt?")
     ],
     ids=[
         "provider-kind", "offline-batch-size", "n_parallel", "k_max_hops", "t_ambiguity", "bm25-k1", "bm25-b",
+        "m_threshold-bool", "bm25-k1-text", "bm25-b-null",
         "top_k-0", "context-mode", "overlapping-spans", "evidence-of-unknown-passage", "first-pick-rank-0",
         "no-candidates", "empty-question", "empty-choice",
     ],
@@ -134,6 +140,15 @@ COMMANDS = pytest.mark.parametrize("command", [["eval"], ["sweep", "--k-values",
         {"retriever": {"n_parallel": 2.5}},
         {"retriever": {"k_max_hops": True}},
         {"retriever": {"t_ambiguity": 1.5}},
+        {"retriever": {"m_threshold": True}},
+        {"retriever": {"m_threshold": "0.5"}},
+        {"retriever": {"m_threshold": None}},
+        {"bm25": {"k1": True}},
+        {"bm25": {"k1": "1"}},
+        {"bm25": {"k1": None}},
+        {"bm25": {"b": True}},
+        {"bm25": {"b": "0.5"}},
+        {"bm25": {"b": None}},
         {"kb_path": 5},
         {"output_dir": 5},
         {"reply_cache_path": 7},
@@ -148,13 +163,55 @@ COMMANDS = pytest.mark.parametrize("command", [["eval"], ["sweep", "--k-values",
     ids=[
         "model_family", "dimension", "batch_size", "bm25-null", "retriever-null", "provider-null",
         "stepback-text", "highlighting-text", "top_k-bool", "top_k-float", "batch_size-float", "dimension-float",
-        "seed-float", "n_parallel-float", "k_max_hops-bool", "t_ambiguity-float", "kb_path-int", "output_dir-int",
+        "seed-float", "n_parallel-float", "k_max_hops-bool", "t_ambiguity-float", "m_threshold-bool",
+        "m_threshold-text", "m_threshold-null", "k1-bool", "k1-text", "k1-null", "b-bool", "b-text", "b-null",
+        "kb_path-int", "output_dir-int",
         "reply_cache_path-int", "qa_model-int", "stepback_model-null", "cache_path-int", "cache_path-bool",
         "provider-model_name-null", "provider-model_name-int", "endpoint-int",
     ],
 )
 def test_eval_and_sweep_exit_2_on_an_invalid_setting(tmp_path, command, changes):
     assert_config_error(tmp_path, command, config_with(tmp_path, **changes))
+
+
+def vector_cache(tmp_path, *dimensions):
+    """A vector cache file holding a few terms embedded at each of `dimensions` in turn."""
+    path = tmp_path / "vectors.jsonl"
+    for i, dimension in enumerate(dimensions):
+        vectors = OfflineEmbeddingProvider(dimension=dimension).embed_terms([f"lions{i}", f"night{i}"])
+        with path.open("a", encoding="utf-8") as fh:
+            fh.writelines(json.dumps({"term": t, "dim": dimension, "values": list(v.values)}) + "\n"
+                          for t, v in vectors.items())
+    return str(path)
+
+
+CACHES = pytest.mark.parametrize(
+    "dimensions, message",
+    [
+        ((16,), "vectors of dimension 16, not 64"),
+        ((64, 16), "line 3: a vector of dimension 16 in a cache of dimension 64"),
+    ],
+    ids=["another-dimension", "mixed-dimensions"],
+)
+
+
+@COMMANDS
+@CACHES
+def test_eval_and_sweep_exit_2_on_a_vector_cache_of_another_dimension(tmp_path, command, dimensions, message):
+    provider = {"dimension": 64, "cache_path": vector_cache(tmp_path, *dimensions)}
+    path = config_with(tmp_path, highlighting=True, provider=provider)
+    assert message in assert_config_error(tmp_path, command, path)
+
+
+@CACHES
+def test_highlight_exits_2_on_a_vector_cache_of_another_dimension(tmp_path, dimensions, message):
+    path = config_with(tmp_path, provider={"dimension": 64, "cache_path": vector_cache(tmp_path, *dimensions)})
+    out = tmp_path / "highlighted.jsonl"
+    command = ["highlight", "--query", RECORD["question"], "--config", str(path), "--out", str(out)]
+    result = CliRunner().invoke(main, command)
+    assert result.exit_code == 2, result.output
+    assert "config error: " in result.output and message in result.output
+    assert not out.exists()
 
 
 @COMMANDS

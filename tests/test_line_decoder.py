@@ -7,12 +7,14 @@ from the line's first character to its newline or end; every other line goes to
 and the `MalformedRecord` messages of `json.loads`. The vector cache decodes its
 payloads with `binascii.a2b_base64(..., strict_mode=True)` from Python 3.11 on, which
 accepts and rejects what `b64decode(..., validate=True)` does, and loads the table
-today's loader loaded (`oracles.reference_vector_cache`).
+today's loader loaded (`oracles.reference_vector_cache`), or refuses a file whose valid
+records have more than one dimension.
 """
 
 import base64
 import binascii
 import json
+import re
 import shutil
 import sys
 from unittest import mock
@@ -24,7 +26,7 @@ from hypothesis import strategies as st
 
 from ragmark import embeddings
 from ragmark.embeddings import VectorCache
-from ragmark.errors import MalformedRecord
+from ragmark.errors import DimensionMismatch, MalformedRecord
 from ragmark.jsonl import KeyedJsonl, decode_line, read_records
 
 from oracles import reference_vector_cache
@@ -184,11 +186,11 @@ TERMS = st.sampled_from(["a", "b", "c", "é", "日本", "x\u2028y"])
 
 
 @st.composite
-def cache_lines(draw):
-    """One line of a vector cache file: an `f64` or legacy `values` record, or a corrupt one;
-    non-ASCII text either escaped or raw."""
+def cache_lines(draw, dims):
+    """One line of a vector cache file: an `f64` or legacy `values` record of a dimension drawn
+    from `dims`, or a corrupt one; non-ASCII text either escaped or raw."""
     term = draw(TERMS)
-    dim = draw(st.integers(1, 3))
+    dim = draw(dims)
     values = draw(st.lists(st.floats(width=64), min_size=dim, max_size=dim))
     f64 = base64.b64encode(np.array(values, dtype="<f8").tobytes()).decode("ascii")
     ascii_only = draw(st.booleans())
@@ -224,13 +226,11 @@ def cache_lines(draw):
 
 
 def loaded_table(cache: VectorCache) -> dict[int, list[tuple[str, bytes]]]:
-    table = {}
-    for dim, rows in cache._by_dim.items():
-        data = rows.arrays[0]
-        held = sorted((i, term) for term, (r, i) in cache._at.items() if r is rows)
-        assert [i for i, _ in held] == list(range(rows._n))  # one block, no spare rows in use
-        table[dim] = [(term, data[i].astype("<f8").tobytes()) for i, term in held]
-    return table
+    if cache.dim is None:
+        return {}
+    held = sorted((i, term) for term, i in cache._at.items())
+    assert [i for i, _ in held] == list(range(cache._n))  # one block, no spare rows in use
+    return {cache.dim: [(term, cache.arrays[0][i].astype("<f8").tobytes()) for i, term in held]}
 
 
 STRICT = [
@@ -240,9 +240,15 @@ STRICT = [
 ]
 
 
+# A file of one dimension, or one whose lines each draw their own.
+FILES = st.integers(1, 3).flatmap(lambda dim: st.lists(cache_lines(st.just(dim)), max_size=14)) | st.lists(
+    cache_lines(st.integers(1, 3)), max_size=14
+)
+
+
 @pytest.mark.parametrize("strict", STRICT)
 @settings(max_examples=150, deadline=None)
-@given(lines=st.lists(cache_lines(), max_size=14), torn=st.integers(0, 60))
+@given(lines=FILES, torn=st.integers(0, 60))
 def test_the_cache_loads_the_table_the_reference_loads(strict, lines, torn, tmp_path_factory):
     text = "".join(line + "\n" for line in lines)
     if lines and torn:  # the last line cut short, without its newline
@@ -251,6 +257,11 @@ def test_the_cache_loads_the_table_the_reference_loads(strict, lines, torn, tmp_
     path, copy = tmp / "vectors.jsonl", tmp / "reference.jsonl"
     path.write_bytes(text.encode("utf-8"))
     shutil.copyfile(path, copy)
+    want = reference_vector_cache(copy)
     with mock.patch.object(embeddings, "_STRICT_A2B", strict):
+        if len(want) > 1:  # valid records of two dimensions: the open is refused
+            with pytest.raises(DimensionMismatch, match=re.escape(f"{path} line ")):
+                VectorCache(path)
+            return
         cache = VectorCache(path)
-    assert loaded_table(cache) == reference_vector_cache(copy)
+    assert loaded_table(cache) == want

@@ -14,9 +14,15 @@ from hypothesis import strategies as st
 from oracles import decode_values_record, values_record
 
 from ragmark.embeddings import OfflineEmbeddingProvider, VectorCache
+from ragmark.errors import DimensionMismatch
 
 TERMS = st.text(min_size=1, max_size=8)
 VECTORS = st.lists(st.floats(width=64), min_size=1, max_size=12).map(tuple)
+# A file's vectors share one dimension, or, drawn with lengths of their own, often do not.
+ONE_DIMENSION = st.integers(1, 12).flatmap(
+    lambda dim: st.dictionaries(TERMS, st.tuples(*[st.floats(width=64)] * dim), min_size=1, max_size=5)
+)
+FILES = ONE_DIMENSION | st.dictionaries(TERMS, VECTORS, min_size=1, max_size=5)
 NAN_WITH_PAYLOAD = struct.unpack("<d", b"\x01\x00\x00\x00\x00\x00\xf8\xff")[0]
 SPECIAL = (0.0, -0.0, 5e-324, -2.225073858507201e-308, float("inf"), float("-inf"), float("nan"), NAN_WITH_PAYLOAD)
 
@@ -34,13 +40,23 @@ def round_trip(vectors: dict[str, tuple[float, ...]]) -> VectorCache:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "vectors.jsonl"
         cache = VectorCache(path)
-        for t, v in vectors.items():  # one block per vector: the lengths differ
+        for t, v in vectors.items():  # one block per vector
             cache.put_rows([t], np.array([v]))
         return VectorCache(path)
 
 
-@given(st.dictionaries(TERMS, VECTORS, min_size=1, max_size=5))
+def another_dimension(vectors: dict[str, tuple[float, ...]]) -> int | None:
+    """The 1-based position of the first vector whose length differs from the first's, if any."""
+    dims = [len(v) for v in vectors.values()]
+    return next((i for i, d in enumerate(dims, 1) if d != dims[0]), None)
+
+
+@given(FILES)
 def test_round_trip_keeps_every_bit(vectors):
+    if another_dimension(vectors):  # the first block of another dimension is refused
+        with pytest.raises(DimensionMismatch, match="a block of dimension"):
+            round_trip(vectors)
+        return
     reloaded = round_trip(vectors)
     assert len(reloaded) == len(vectors)
     for term, values in vectors.items():
@@ -63,12 +79,17 @@ def test_new_record_keys_are_term_dim_f64(tmp_path):
     assert record == {"term": "desert", "dim": 2, "f64": base64.b64encode(bits((0.5, -0.25))).decode("ascii")}
 
 
-@given(st.dictionaries(TERMS, VECTORS, min_size=1, max_size=5))
+@given(FILES)
 def test_values_records_load_as_the_old_decoder_read_them(vectors):
     lines = [values_record(t, v) for t, v in vectors.items()]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "vectors.jsonl"
         path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        line = another_dimension(vectors)
+        if line:  # the first record of another dimension stops the open
+            with pytest.raises(DimensionMismatch, match=f" line {line}: "):
+                VectorCache(path)
+            return
         cache = VectorCache(path)
     assert len(cache) == len(vectors)
     for line in lines:

@@ -1,14 +1,17 @@
-"""Term vectors held as rows of one float64 table.
+"""Term vectors held as rows of one float64 table of one dimension.
 
 The cosine matrix gathered from a provider's table is, bit for bit, the one
 `oracles.reference_cosine_matrix` builds from `TermVector` tuples, for vectors
 fetched fresh, stored in blocks, and loaded from `f64` cache records. A cache
-whose records are odd (another dimension, a zero vector) fails only the
-requests that pair them, with `DimensionMismatch` or `ZeroVector`. Views
-taken before a writer grows the rows gather the same matrix while it does.
+record of another dimension stops the cache's open, a provider of another
+dimension than its cache is refused when it is made, and a fetched block of
+another dimension never reaches the file. A cached zero vector fails only the
+requests that pair it, with `ZeroVector`. Views taken before a writer grows
+the rows gather the same matrix while it does.
 """
 
 import json
+import re
 import sys
 import tempfile
 import threading
@@ -20,13 +23,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ragmark.alignment import _cosine_matrix, align_score
-from ragmark.embeddings import EmbeddingProvider, OfflineEmbeddingProvider, TermVector, VectorCache
+from ragmark.embeddings import (
+    EmbeddingProvider,
+    OfflineEmbeddingProvider,
+    RemoteEmbeddingProvider,
+    TermVector,
+    VectorCache,
+)
 from ragmark.errors import DimensionMismatch, RagmarkError, ZeroVector
 from ragmark.pipeline import select_evidence
 from ragmark.store import Passage
 from ragmark.text import Term, split_sentences
 
 from oracles import reference_cosine_matrix
+from test_embeddings import FakeResponse
 
 # Dimensions on both sides of numpy's pairwise-summation block sizes (8, 128).
 DIMS = st.sampled_from([1, 3, 8, 9, 64, 130])
@@ -124,7 +134,7 @@ def test_rows_loaded_from_f64_records_give_the_tuple_matrix(seed, dim, n):
             assert_same(rows, cols, view, vectors)
 
 
-# --- odd cache records fail the requests that pair them, and only those -------
+# --- a cache holds one dimension; a cached zero vector fails only the requests that pair it
 
 PASSAGES = [
     Passage("p1", "Bats", "Bats hunt insects at night. Echolocation guides the hunt."),
@@ -145,14 +155,40 @@ def cache_with(tmp_path, term: str, values: tuple[float, ...]) -> Path:
     return path
 
 
-def test_a_record_of_another_dimension_fails_only_requests_that_pair_it(tmp_path):
-    provider = OfflineEmbeddingProvider(dimension=16, cache=VectorCache(cache_with(tmp_path, "echolocation", (1.0,) * 8)))
-    assert provider.embed_terms({"echolocation"})["echolocation"].dimension == 8
-    with pytest.raises(DimensionMismatch):
-        select_evidence(BATS, [PASSAGES[0]], provider)
+def test_a_record_of_another_dimension_stops_the_open(tmp_path):
+    path = cache_with(tmp_path, "echolocation", (1.0,) * 8)
+    written = path.read_bytes()
+    line = written.count(b"\n")
+    message = f"{path} line {line}: a vector of dimension 8 in a cache of dimension 16"
+    with pytest.raises(DimensionMismatch, match=re.escape(message)):
+        VectorCache(path)
+    assert path.read_bytes() == written
+
+
+@pytest.mark.parametrize("dimension", [8, 32])
+def test_a_provider_of_another_dimension_than_its_cache_is_refused(tmp_path, dimension):
+    path = cache_with(tmp_path, "echolocation", (1.0,) * 16)
+    with pytest.raises(DimensionMismatch, match=re.escape(f"{path}: vectors of dimension 16, not {dimension}")):
+        OfflineEmbeddingProvider(dimension=dimension, cache=VectorCache(path))
+    provider = OfflineEmbeddingProvider(dimension=16, cache=VectorCache(path))
     clean = OfflineEmbeddingProvider(dimension=16)
     assert select_evidence(DESERTS, [PASSAGES[1]], provider) == select_evidence(DESERTS, [PASSAGES[1]], clean)
     assert provider.fetch_count == 0
+
+
+def test_a_remote_reply_of_another_dimension_than_its_cache_appends_nothing(tmp_path):
+    path = tmp_path / "vectors.jsonl"
+    OfflineEmbeddingProvider(dimension=16, cache=VectorCache(path)).embed_terms({"desert", "water"})
+    written = path.read_bytes()
+
+    def post(url, json=None, **kwargs):
+        return FakeResponse({"data": [{"embedding": [0.5] * 32} for _ in json["input"]]})
+
+    provider = RemoteEmbeddingProvider("http://x", retries=0, post=post, cache=VectorCache(path))
+    with pytest.raises(DimensionMismatch, match="a block of dimension 32 for a table of dimension 16"):
+        provider.embed_terms({"desert", "rain", "sand"})
+    assert path.read_bytes() == written
+    assert "rain" not in provider.table and len(VectorCache(path)) == 2
 
 
 def test_a_view_holds_exactly_the_terms_it_was_asked_for():
