@@ -109,8 +109,8 @@ class ProviderConfig:
 class VectorTable:
     """Term vectors of one dimension, each held once as a float64 row: surface -> row.
 
-    The table's dimension is the width of its first block, and `put_rows` refuses
-    a block of any other width before it stores or appends any of it. Rows arrive
+    `dim`, set by a provider or else by the first block, is the only width: `put_rows`
+    refuses a block of another before it stores or appends any of it. Rows arrive
     only as blocks, their norms computed as they are stored: the floats
     `np.linalg.norm(rows, axis=1)` gives in any matrix holding them. `arrays` is
     replaced as one `(data, norms)` tuple once a block is written, so readers
@@ -133,10 +133,10 @@ class VectorTable:
         a table with a file (a `VectorCache`) also appends the rows' records to it in one write."""
         with self._write_lock:
             dim = block.shape[1]
-            if self.dim is None:
-                self.dim, self.arrays = dim, (np.empty((16, dim)), np.empty(16))
-            elif dim != self.dim:
+            if self.dim not in (None, dim):
                 raise DimensionMismatch(f"a block of dimension {dim} for a table of dimension {self.dim}")
+            if not len(self.arrays[1]):  # the first block, whether or not the dimension was set before it
+                self.dim, self.arrays = dim, (np.empty((16, dim)), np.empty(16))
             data, norms = self.arrays
             n, end = self._n, self._n + len(block)
             if end > len(data):
@@ -295,9 +295,7 @@ class VectorCache(VectorTable):
 
 
 class EmbeddingProvider:
-    """Base provider: read-through cache in front of `_fetch`."""
-
-    dimension: int | None = None  # of every vector `_fetch` returns; None: learned from the first block
+    """Base provider: read-through cache in front of `_fetch`, the one method a provider implements."""
 
     def __init__(self, cache: VectorCache | None = None, batch_size: int = 64):
         if batch_size < 1:
@@ -327,12 +325,14 @@ class EmbeddingProvider:
                 self.table.put_rows(batch, block)
         return self.table.view(sorted(wanted))
 
+    @property
+    def dimension(self) -> int | None:
+        """Of every vector the provider serves: its table's, None until the table has one."""
+        return self.table.dim
+
     def _validate(self, batch: list[str], block: np.ndarray) -> None:
-        if self.dimension is None:
-            self.dimension = block.shape[1]
-        want = (len(batch), self.dimension)
-        if block.shape != want:
-            raise DimensionMismatch(f"provider returned a block of shape {block.shape}, expected {want}")
+        if block.ndim != 2 or len(block) != len(batch):
+            raise DimensionMismatch(f"provider returned a block of shape {block.shape} for {len(batch)} terms")
         zero = ~block.any(axis=1)
         if zero.any():
             raise ZeroVector(f"provider returned the zero vector for {batch[int(zero.argmax())]!r}")
@@ -425,9 +425,9 @@ class OfflineEmbeddingProvider(EmbeddingProvider):
         batch_size: int = 64,
     ):
         super().__init__(cache=cache, batch_size=batch_size)
-        if cache is not None and cache.dim not in (None, dimension):
+        if self.table.dim not in (None, dimension):
             raise DimensionMismatch(f"{cache._file.path}: vectors of dimension {cache.dim}, not {dimension}")
-        self.dimension = dimension
+        self.table.dim = dimension
         self.seed = seed
 
     def _fetch(self, batch: list[str]) -> np.ndarray:

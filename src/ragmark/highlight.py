@@ -8,6 +8,7 @@ tags reproduces the original text.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import AlreadyTagged, SpanOutOfBounds, UnknownPassage
 from .store import Passage
@@ -38,17 +39,28 @@ def strip_tags(text: str) -> str:
     return text.replace(OPEN_TAG, "").replace(CLOSE_TAG, "")
 
 
-def _check_spans(passage: Passage, spans: list[SentenceSpan]) -> None:
-    prev_end = 0
-    for span in sorted(spans, key=lambda s: s.start):
-        if not 0 <= span.start < span.end <= len(passage.text):
-            raise SpanOutOfBounds(
-                f"span [{span.start}, {span.end}) outside passage {passage.id!r} "
-                f"of length {len(passage.text)}"
-            )
-        if span.start < prev_end:
-            raise SpanOutOfBounds(f"overlapping spans in passage {passage.id!r}")
-        prev_end = span.end
+def _spans_by_passage(
+    passages: list[Passage], evidence: list[SentenceSpan]
+) -> Iterator[tuple[Passage, list[SentenceSpan]]]:
+    """Each passage in input order with its spans in text order; UnknownPassage first, then SpanOutOfBounds."""
+    per_passage: dict[str, list[SentenceSpan]] = {p.id: [] for p in passages}
+    for span in evidence:
+        if span.passage_id not in per_passage:
+            raise UnknownPassage(f"evidence references unknown passage {span.passage_id!r}")
+        per_passage[span.passage_id].append(span)
+    for passage in passages:
+        spans = sorted(per_passage[passage.id], key=lambda s: s.start)
+        prev_end = 0
+        for span in spans:
+            if not 0 <= span.start < span.end <= len(passage.text):
+                raise SpanOutOfBounds(
+                    f"span [{span.start}, {span.end}) outside passage {passage.id!r} "
+                    f"of length {len(passage.text)}"
+                )
+            if span.start < prev_end:
+                raise SpanOutOfBounds(f"overlapping spans in passage {passage.id!r}")
+            prev_end = span.end
+        yield passage, spans
 
 
 def highlight(passages: list[Passage], evidence: list[SentenceSpan]) -> HighlightedDocument:
@@ -57,19 +69,10 @@ def highlight(passages: list[Passage], evidence: list[SentenceSpan]) -> Highligh
     Passages come out in input order; adjacent evidence sentences get
     separate tag pairs. Refuses input that already contains the tag literals.
     """
-    by_id = {p.id: p for p in passages}
-    per_passage: dict[str, list[SentenceSpan]] = {}
-    for span in evidence:
-        if span.passage_id not in by_id:
-            raise UnknownPassage(f"evidence references unknown passage {span.passage_id!r}")
-        per_passage.setdefault(span.passage_id, []).append(span)
-
     out = []
-    for passage in passages:
+    for passage, spans in _spans_by_passage(passages, evidence):
         if OPEN_TAG in passage.text or CLOSE_TAG in passage.text:
             raise AlreadyTagged(f"passage {passage.id!r} already contains evidence tags")
-        spans = sorted(per_passage.get(passage.id, []), key=lambda s: s.start)
-        _check_spans(passage, spans)
         pieces = []
         cursor = 0
         for span in spans:
@@ -82,12 +85,5 @@ def highlight(passages: list[Passage], evidence: list[SentenceSpan]) -> Highligh
 
 
 def evidence_only(passages: list[Passage], evidence: list[SentenceSpan]) -> str:
-    """Evidence sentence texts alone, newline-separated, in document order."""
-    by_id = {p.id: p for p in passages}
-    order = {p.id: i for i, p in enumerate(passages)}
-    for span in evidence:
-        if span.passage_id not in by_id:
-            raise UnknownPassage(f"evidence references unknown passage {span.passage_id!r}")
-        _check_spans(by_id[span.passage_id], [span])
-    ordered = sorted(evidence, key=lambda s: (order[s.passage_id], s.start))
-    return "\n".join(by_id[s.passage_id].text[s.start : s.end] for s in ordered)
+    """Evidence sentence texts alone, newline-separated, in document order; spans checked as `highlight` checks them."""
+    return "\n".join(p.text[s.start : s.end] for p, spans in _spans_by_passage(passages, evidence) for s in spans)

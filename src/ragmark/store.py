@@ -180,8 +180,8 @@ def load_passages(path: str | Path) -> list[Passage]:
 def load_precomputed_results(path: str | Path) -> dict[str, list[Passage]]:
     """Load a precomputed retrieval dump.
 
-    JSONL of {"query_id", "passages": [{"id","title","text","source"}...]}
-    in rank order; file order is preserved as the rank order.
+    JSONL of {"query_id", "passages": [{"id","title","text","source"}...]} in rank
+    order, each query_id once and each passage id once per line, else DuplicateId.
     """
     results: dict[str, list[Passage]] = {}
     for line_no, obj in read_records(path):
@@ -189,7 +189,10 @@ def load_precomputed_results(path: str | Path) -> dict[str, list[Passage]]:
         if qid in results:
             raise DuplicateId(f"line {line_no}: duplicate query_id {qid!r}")
         entries = require(obj, "passages", line_no, list)
-        results[qid] = [_passage(entry, line_no, rank) for rank, entry in enumerate(entries, 1)]
+        results[qid] = passages = [_passage(entry, line_no, rank) for rank, entry in enumerate(entries, 1)]
+        if len({p.id for p in passages}) < len(passages):
+            repeated = next(pid for pid, n in Counter(p.id for p in passages).items() if n > 1)
+            raise DuplicateId(f"line {line_no}: passage id {repeated!r} listed twice for query_id {qid!r}")
     return results
 
 

@@ -287,7 +287,8 @@ class TestRemoteProvider:
         assert provider.dimension is None
         provider.embed_terms({"a"})
         assert provider.dimension == 3
-        with pytest.raises(DimensionMismatch, match=r"expected \(1, 3\)"):  # a later block must match it
+        # A later block must match it: the table refuses one of another width.
+        with pytest.raises(DimensionMismatch, match="a block of dimension 2 for a table of dimension 3"):
             provider.embed_terms({"b"})
 
     def test_zero_vector_names_its_term(self):

@@ -13,7 +13,7 @@ from ragmark.highlight import (
     strip_tags,
 )
 from ragmark.store import Passage
-from ragmark.text import split_sentences
+from ragmark.text import SentenceSpan, split_sentences
 
 from conftest import ARID_SENTENCE
 
@@ -112,6 +112,15 @@ class TestEvidenceOnly:
         spans = spans_of(ps[0]) + spans_of(ps[1])
         out = evidence_only(ps, [spans[2], spans[0]])
         assert out == "One here.\nThree here."
+
+    @pytest.mark.parametrize("second", ["repeated", "overlapping"])
+    def test_spans_are_checked_as_highlight_checks_them(self, second):
+        passage = Passage("p", "", "Bats hunt at night. Owls do too.")
+        first = spans_of(passage)[0]
+        other = first if second == "repeated" else SentenceSpan("p", 5, 25, frozenset())
+        for render in (highlight, evidence_only):
+            with pytest.raises(SpanOutOfBounds, match="overlapping spans in passage 'p'"):
+                render([passage], [first, other])
 
 
 class TestSerialization:

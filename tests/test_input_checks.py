@@ -262,3 +262,10 @@ def test_a_repeated_query_id_in_precomputed_results_is_a_load_error(tmp_path):
     again = {"query_id": "q0", "passages": [{**KB[0], "id": "p2"}]}
     error = load_error_on_line_2(tmp_path, load_precomputed_results, first, again, DuplicateId)
     assert "'q0'" in str(error)
+
+
+def test_a_passage_id_listed_twice_in_one_precomputed_result_is_a_load_error(tmp_path):
+    first = {"query_id": "q0", "passages": [KB[0]]}
+    repeated = {"query_id": "q1", "passages": [KB[0], {**KB[0], "id": "p2"}, {**KB[0], "text": "Lions roar."}]}
+    error = load_error_on_line_2(tmp_path, load_precomputed_results, first, repeated, DuplicateId)
+    assert str(error) == "line 2: passage id 'p1' listed twice for query_id 'q1'"

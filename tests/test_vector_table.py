@@ -5,9 +5,10 @@ The cosine matrix gathered from a provider's table is, bit for bit, the one
 fetched fresh, stored in blocks, and loaded from `f64` cache records. A cache
 record of another dimension stops the cache's open, a provider of another
 dimension than its cache is refused when it is made, and a fetched block of
-another dimension never reaches the file. A cached zero vector fails only the
-requests that pair it, with `ZeroVector`. Views taken before a writer grows
-the rows gather the same matrix while it does.
+another dimension never reaches the file: the provider stays at its table's
+dimension, so a refused reply fails only its own record. A cached zero vector
+fails only the requests that pair it, with `ZeroVector`. Views taken before a
+writer grows the rows gather the same matrix while it does.
 """
 
 import json
@@ -31,7 +32,9 @@ from ragmark.embeddings import (
     VectorCache,
 )
 from ragmark.errors import DimensionMismatch, RagmarkError, ZeroVector
+from ragmark.evaluation import EvalRecord, PipelineHandles, RunSetting, run_setting
 from ragmark.pipeline import select_evidence
+from ragmark.stepback import StubChatClient
 from ragmark.store import Passage
 from ragmark.text import Term, split_sentences
 
@@ -45,14 +48,9 @@ DIMS = st.sampled_from([1, 3, 8, 9, 64, 130])
 class GivenProvider(EmbeddingProvider):
     """Serves fixed vectors, as a remote endpoint would."""
 
-    def __init__(self, vectors: dict[str, TermVector], dimension: int, **kwargs):
+    def __init__(self, vectors: dict[str, TermVector], **kwargs):
         super().__init__(**kwargs)
         self.vectors = vectors
-        self._dimension = dimension
-
-    @property
-    def dimension(self) -> int:
-        return self._dimension
 
     def _fetch(self, batch):
         return np.array([self.vectors[t].values for t in batch])
@@ -106,13 +104,13 @@ def test_rows_fetched_in_blocks_give_the_tuple_matrix(seed, dim, n, batch_size):
     vectors = random_vectors(rng, n, dim)
     surfaces = sorted(vectors)
     with tempfile.TemporaryDirectory() as tmp:
-        provider = GivenProvider(vectors, dim, cache=VectorCache(Path(tmp) / "v.jsonl"), batch_size=batch_size)
+        provider = GivenProvider(vectors, cache=VectorCache(Path(tmp) / "v.jsonl"), batch_size=batch_size)
         # Grow the table between gathers, so the norms are computed over several blocks.
         for known in (surfaces[: (n + 1) // 2], surfaces):
             view = provider.embed_terms(known)
             for rows, cols in requests(rng, known):
                 assert_same(rows, cols, view, {s: vectors[s] for s in known})
-        uncached = GivenProvider(vectors, dim, batch_size=batch_size).embed_terms(surfaces)
+        uncached = GivenProvider(vectors, batch_size=batch_size).embed_terms(surfaces)
         for rows, cols in requests(rng, surfaces):
             assert_same(rows, cols, uncached, vectors)
             assert_same(rows, cols, vectors, vectors)  # a plain mapping is copied into a table
@@ -127,7 +125,7 @@ def test_rows_loaded_from_f64_records_give_the_tuple_matrix(seed, dim, n):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "v.jsonl"
         VectorCache(path).put_rows(list(vectors), np.array([v.values for v in vectors.values()]))
-        provider = GivenProvider({}, dim, cache=VectorCache(path))
+        provider = GivenProvider({}, cache=VectorCache(path))
         view = provider.embed_terms(surfaces)
         assert provider.fetch_count == 0
         for rows, cols in requests(rng, surfaces):
@@ -176,19 +174,52 @@ def test_a_provider_of_another_dimension_than_its_cache_is_refused(tmp_path, dim
     assert provider.fetch_count == 0
 
 
+def remote_over(path: Path) -> tuple[RemoteEmbeddingProvider, list[list[str]]]:
+    """A remote provider over the cache at `path` whose first reply is 32-d and every later one the
+    offline provider's 16-d vectors, and the list of the terms it posts."""
+    offline, posts = OfflineEmbeddingProvider(dimension=16), []
+
+    def post(url, json=None, **kwargs):
+        posts.append(json["input"])
+        rows = offline._fetch(json["input"]).tolist() if len(posts) > 1 else [[0.5] * 32 for _ in json["input"]]
+        return FakeResponse({"data": [{"embedding": row} for row in rows]})
+
+    return RemoteEmbeddingProvider("http://x", retries=0, post=post, cache=VectorCache(path)), posts
+
+
 def test_a_remote_reply_of_another_dimension_than_its_cache_appends_nothing(tmp_path):
     path = tmp_path / "vectors.jsonl"
     OfflineEmbeddingProvider(dimension=16, cache=VectorCache(path)).embed_terms({"desert", "water"})
     written = path.read_bytes()
-
-    def post(url, json=None, **kwargs):
-        return FakeResponse({"data": [{"embedding": [0.5] * 32} for _ in json["input"]]})
-
-    provider = RemoteEmbeddingProvider("http://x", retries=0, post=post, cache=VectorCache(path))
+    provider, posts = remote_over(path)
+    assert provider.dimension == 16
     with pytest.raises(DimensionMismatch, match="a block of dimension 32 for a table of dimension 16"):
         provider.embed_terms({"desert", "rain", "sand"})
     assert path.read_bytes() == written
-    assert "rain" not in provider.table and len(VectorCache(path)) == 2
+    assert "rain" not in provider.table and len(VectorCache(path)) == 2 and provider.dimension == 16
+    # The refusal leaves the provider at its table's dimension, so a later reply of that width is stored.
+    view = provider.embed_terms({"desert", "rain", "sand"})
+    assert posts == [["rain", "sand"]] * 2 and provider.dimension == 16
+    assert view["rain"] == OfflineEmbeddingProvider(dimension=16).embed_terms({"rain"})["rain"]
+    assert VectorCache(path).get("rain") == view["rain"] and len(VectorCache(path)) == 4
+
+
+def test_one_refused_reply_scores_only_its_own_record_wrong(tmp_path):
+    path = tmp_path / "vectors.jsonl"
+    OfflineEmbeddingProvider(dimension=16, cache=VectorCache(path)).embed_terms({"known", "flying"})
+    provider, posts = remote_over(path)
+    records = [EvalRecord(f"q{i}", "factoid", f"What is zorblex{i} known for?", frozenset({"flying"})) for i in range(4)]
+    precomputed = {r.query_id: [Passage(f"p{i}", "facts", f"zorblex{i} is known for flying.", rank=1)]
+                   for i, r in enumerate(records)}
+    handles = PipelineHandles(
+        qa_client=StubChatClient(lambda prompt: "flying"), embedding_provider=provider,
+        precomputed=precomputed, max_workers=1,
+    )
+    report = run_setting(records, RunSetting(stepback=False), handles)
+    assert [o.error for o in report.outcomes] == [
+        "DimensionMismatch: a block of dimension 32 for a table of dimension 16", None, None, None
+    ]
+    assert report.accuracy == 75.0 and posts == [[f"zorblex{i}"] for i in range(4)]
 
 
 def test_a_view_holds_exactly_the_terms_it_was_asked_for():
