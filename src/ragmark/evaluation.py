@@ -278,20 +278,25 @@ def normalize_answer(text: str) -> str:
     return " ".join(text.split())
 
 
+_UNCASED = re.compile(r"[^0-9A-Za-z]+")  # what `normalize_answer` strips, in any case
+
+
 def inclusion_match(generation: str, gold: Sequence[str] | frozenset[str]) -> bool:
     """True iff any normalized gold string occurs in the normalized generation.
 
-    Single-character golds (MCQ labels) must match a standalone token so that
-    "B" does not match inside "Because".
+    A single-character gold (an MCQ label) is a label, not a word: it must
+    equal a standalone token of the generation in its original case, with
+    punctuation stripped as `normalize_answer` strips it. So "B" does not
+    match inside "Because", and gold "A" does not match the article "a".
     """
     gen = normalize_answer(generation)
-    tokens = set(gen.split())
+    tokens = set(_UNCASED.sub(" ", generation).split())
     for g in gold:
         g_norm = normalize_answer(g)
         if not g_norm:
             continue
         if len(g_norm) == 1:
-            if g_norm in tokens:
+            if _UNCASED.sub("", g) in tokens:
                 return True
         elif g_norm in gen:
             return True

@@ -6,7 +6,8 @@ yet covered (expanding with already-selected evidence terms when few remain)
 until the query is fully covered, the hop cap is hit, or the pool is empty.
 N parallel chains vary only the rank of the seed sentence. A chain works on
 the row ids of one `MaxSimScorer`: a hop's ranking is a sum of its rows, and
-the selected sentence's cover set leaves the remainder.
+the selected sentence's cover set leaves the remainder. A hop's
+`AlignmentScore` is built from that scorer when it is first read.
 """
 
 from __future__ import annotations
@@ -44,11 +45,41 @@ class RetrieverParams:
             raise ValueError("m_threshold must be in (0, 1]")
 
 
-@dataclass(frozen=True)
 class Hop:
-    sentence: SentenceSpan
-    score: AlignmentScore
-    remainder_after: frozenset[str]
+    """One selected sentence, its `AlignmentScore` and the query remainder after it.
+
+    The score is built on first read, by `MaxSimScorer.alignment` over the
+    scorer, working surfaces, row ids and pool position the chain held at
+    this hop, so a chain builds no score that nothing reads. Hops compare by
+    their three public values and, like the scores they hold, are not
+    hashable.
+    """
+
+    __slots__ = ("sentence", "remainder_after", "_score")
+
+    def __init__(self, sentence: SentenceSpan, score_of: tuple, remainder_after: frozenset[str]) -> None:
+        self.sentence = sentence
+        self._score: AlignmentScore | tuple = score_of  # (scorer, surfaces, rows, pos) until read
+        self.remainder_after = remainder_after
+
+    @property
+    def score(self) -> AlignmentScore:
+        score = self._score
+        if type(score) is tuple:
+            scorer, surfaces, rows, pos = score
+            score = self._score = scorer.alignment(surfaces, rows, pos)
+        return score
+
+    def _values(self) -> tuple[SentenceSpan, AlignmentScore, frozenset[str]]:
+        return self.sentence, self.score, self.remainder_after
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Hop:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        return "Hop(sentence={!r}, score={!r}, remainder_after={!r})".format(*self._values())
 
 
 @dataclass(frozen=True)
@@ -100,7 +131,7 @@ def retrieve_chain(
     while True:
         selected.append(pick)
         remainder -= scorer.cover(query, params.m_threshold, pick)
-        hops.append(Hop(candidates[pick], scorer.alignment(working, rows, pick), remainder))
+        hops.append(Hop(candidates[pick], (scorer, working, rows, pick), remainder))
         if not remainder:
             return EvidenceChain(tuple(hops), "full-coverage", scoring_calls)
         if len(hops) >= params.k_max_hops:
