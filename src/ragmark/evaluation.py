@@ -129,6 +129,9 @@ def load_dataset(path: str | Path) -> list[EvalRecord]:
             if not isinstance(choices, dict):
                 raise MalformedRecord(f"line {line_no}: choices must be an object", line_no)
             choices = {k: as_text(v, "choices", line_no) for k, v in choices.items()}
+            for key in choices:  # inclusion_match would take the article "a" for label a
+                if len(key) == 1 and key.islower():
+                    raise MalformedRecord(f"line {line_no}: choice key {key!r} is a lower-case letter", line_no)
             if not set(gold) <= choices.keys():
                 raise MalformedRecord(f"line {line_no}: gold labels {sorted(gold)} are not all choice keys", line_no)
         elif choices:

@@ -47,6 +47,25 @@ class Bm25Params:
             raise ValueError("require k1 >= 0 and 0 <= b <= 1")
 
 
+class _WordIds(dict):
+    """A lowercased word -> its content term's id in `term_ids`, or -1 for a
+    stopword or a word with no surface. Each distinct word is normalized once,
+    on its first lookup, and a new surface takes the next id."""
+
+    def __init__(self, term_ids: dict[str, int]):
+        self.term_ids = term_ids
+
+    def __missing__(self, word: str) -> int:
+        surfaces = word_surfaces(word)  # one surface at most: `word` holds no space
+        if not surfaces or surfaces[0] in STOPWORDS:
+            t = -1
+        else:
+            surface = word if surfaces[0] == word else surfaces[0]  # one string, not two
+            t = self.term_ids.setdefault(surface, len(self.term_ids))
+        self[word] = t
+        return t
+
+
 class Bm25Index:
     """Immutable Okapi BM25 index over title + text content terms.
 
@@ -65,22 +84,41 @@ class Bm25Index:
         self.params = params
         self.passages = tuple(passages)
         self._term_ids: dict[str, int] = {}  # in order of first occurrence
-        self.doc_lengths: list[int] = []
+        # Each word's term id, -1 if it has none. A period that ends a word never
+        # changes the word's surface, so each ". " is dropped first; a passage's
+        # last word is followed by a space too. Most words are then one lookup.
+        word_ids = _WordIds(self._term_ids)
+        lengths = []  # words per passage, stopwords included
+
+        def word_id_run(p: Passage):
+            words = f"{p.title} {p.text} ".lower().replace(". ", " ").split()
+            lengths.append(len(words))
+            return map(word_ids.__getitem__, words)
+
+        terms = np.fromiter(chain.from_iterable(map(word_id_run, passages)), np.int64)
+        del word_ids
+        content = terms >= 0
+        docs = np.repeat(np.arange(len(passages), dtype=np.int32), lengths)[content]
+        self.doc_lengths: list[int] = np.bincount(docs, minlength=len(passages)).tolist()
         # One int64 key per content term, (term id << 32) | passage index, sorted in
         # place: each term's passages then run ascending, and each run of one key is
         # a posting whose length is its tf. Each array is dropped once read, to keep
         # the build's peak low.
-        keys = np.fromiter(chain.from_iterable(map(self._term_id_run, passages)), np.int64)
+        keys = terms[content]
+        del terms, content
         keys <<= 32
-        keys |= np.repeat(np.arange(len(passages), dtype=np.int32), self.doc_lengths)
+        keys |= docs
+        del docs
         keys.sort()
-        first = np.ones(len(keys), dtype=bool)
-        np.not_equal(keys[1:], keys[:-1], out=first[1:])
-        starts = np.flatnonzero(first)
+        first = np.ones(len(keys) + 1, dtype=bool)  # and one past the last key
+        np.not_equal(keys[1:], keys[:-1], out=first[1:-1])
+        bounds = np.flatnonzero(first)
         del first
-        tfs = np.diff(starts, append=len(keys)).astype(np.int32)
-        postings = keys[starts]
-        del keys, starts
+        postings = keys[bounds[:-1]]
+        del keys
+        tfs = np.empty(len(postings), dtype=np.int32)
+        np.subtract(bounds[1:], bounds[:-1], out=tfs)
+        del bounds
         offsets = np.searchsorted(postings, np.arange(len(self._term_ids) + 1, dtype=np.int64) << 32)
         # Read through memoryviews: a query's slices and items then take no numpy call.
         self._docs = memoryview(postings.astype(np.int32))  # the low 32 bits: the passage
@@ -92,13 +130,6 @@ class Bm25Index:
         self._id_order = sorted(range(len(ids)), key=ids.__getitem__)
         self.n_docs = len(passages)
         self.avg_doc_length = sum(self.doc_lengths) / self.n_docs if self.n_docs else 0.0
-
-    def _term_id_run(self, p: Passage) -> list[int]:
-        """The term ids of `p`'s content terms, in order; appends its length to `doc_lengths`."""
-        ids = self._term_ids
-        run = [ids.setdefault(s, len(ids)) for s in word_surfaces(f"{p.title} {p.text}") if s not in STOPWORDS]
-        self.doc_lengths.append(len(run))
-        return run
 
     def _term(self, term: str) -> tuple[float, dict[int, int]]:
         """(idf, {passage index: tf}) of `term`, read from its postings slice on first use and kept."""

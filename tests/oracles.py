@@ -10,6 +10,7 @@ import base64
 import hashlib
 import json
 import math
+from bisect import bisect_left
 from collections import Counter
 from itertools import chain
 from pathlib import Path
@@ -19,7 +20,7 @@ import numpy as np
 
 from ragmark.embeddings import TermVector
 from ragmark.errors import DimensionMismatch, MissingVector, ZeroVector
-from ragmark.text import SentenceSpan, extract_terms
+from ragmark.text import STOPWORDS, SentenceSpan, extract_terms, word_surfaces
 
 
 def brute_force_align(query_vecs: list[np.ndarray], sentence_vecs: list[np.ndarray]) -> float:
@@ -79,6 +80,31 @@ def reference_postings(passages: Sequence) -> tuple[dict[str, dict[int, int]], l
         for term, tf in Counter(terms).items():
             postings.setdefault(term, {})[i] = tf
     return postings, lengths
+
+
+def reference_index_arrays(passages: Sequence) -> dict:
+    """The BM25 index's fields built term by term: ids by first occurrence over
+    the non-stopword `word_surfaces(title + " " + text)`, then each (term id,
+    passage) pair once, sorted, with its count as the tf. `docs` and `tfs` are
+    int32, `offsets` int64, as the index stores them."""
+    term_ids: dict[str, int] = {}
+    counts: Counter[tuple[int, int]] = Counter()
+    lengths = []
+    for i, p in enumerate(passages):
+        run = [term_ids.setdefault(s, len(term_ids)) for s in word_surfaces(p.title + " " + p.text) if s not in STOPWORDS]
+        lengths.append(len(run))
+        counts.update((t, i) for t in run)
+    keys = sorted(counts)
+    key_terms = [t for t, _ in keys]
+    offsets = [bisect_left(key_terms, t) for t in range(len(term_ids) + 1)]
+    return {
+        "terms": list(term_ids),
+        "docs": np.array([i for _, i in keys], dtype=np.int32).tobytes(),
+        "tfs": np.array([counts[k] for k in keys], dtype=np.int32).tobytes(),
+        "offsets": np.array(offsets, dtype=np.int64).tobytes(),
+        "doc_lengths": lengths,
+        "doc_freq": [(term, offsets[t + 1] - offsets[t]) for term, t in term_ids.items()],
+    }
 
 
 def reference_sentence_bounds(text: str, abbreviations: frozenset[str]) -> list[tuple[int, int]]:

@@ -6,8 +6,10 @@ number belongs), a configured input file that does not exist and a vector
 cache of another dimension than its provider, or of two, are config errors:
 `eval` and `sweep` exit 2 and write no report, and so does `highlight`. A
 dataset gold answer that can never be matched, an MCQ gold label that is not
-one of the record's choices, and a repeated query id in the precomputed
-results are load errors that name their line. An argument out
+one of the record's choices, an MCQ choice key that is a lower-case letter
+(the article "a" would match label a) and a repeated query id in the
+precomputed results are load errors that name their line: `eval` and `sweep`
+exit 1 on them and write no report. An argument out
 of range for a provider, the retriever, BM25, the highlighter or step-back
 raises before any work is done.
 """
@@ -255,6 +257,30 @@ def test_an_mcq_gold_label_that_is_not_a_choice_key_is_a_load_error(tmp_path, go
 def test_mcq_gold_labels_among_the_choice_keys_load(tmp_path):
     [record] = load_dataset(write_jsonl(tmp_path / "in.jsonl", [{**MCQ, "gold": ["A", "B"]}]))
     assert record.gold == frozenset({"A", "B"})
+
+
+@pytest.mark.parametrize("key", ["a", "b", "é"])
+def test_a_lower_case_letter_choice_key_is_a_load_error(tmp_path, key):
+    bad = {**MCQ, "choices": {"A": "at night", key: "at noon"}, "gold": ["A"]}
+    error = load_error_on_line_2(tmp_path, load_dataset, RECORD, bad)
+    assert error.line_number == 2 and f"choice key {key!r}" in str(error)
+
+
+def test_upper_case_and_digit_choice_keys_load(tmp_path):
+    rows = [{**MCQ, "gold": ["A"]}, {**MCQ, "query_id": "q2", "choices": {"1": "night", "2": "noon"}, "gold": ["1"]}]
+    assert [r.choices for r in load_dataset(write_jsonl(tmp_path / "in.jsonl", rows))] == [
+        {"A": "night", "B": "noon"}, {"1": "night", "2": "noon"}
+    ]
+
+
+@COMMANDS
+def test_eval_and_sweep_exit_1_on_a_lower_case_letter_choice_key(tmp_path, command):
+    lowered = {**MCQ, "choices": {"a": "at night", "b": "at noon"}, "gold": ["a"]}
+    path = config_with(tmp_path, dataset_path=str(write_jsonl(tmp_path / "mcq.jsonl", [lowered])))
+    result = CliRunner().invoke(main, [command[0], "--config", str(path), *command[1:]])
+    assert result.exit_code == 1, result.output
+    assert "error: line 1: choice key 'a' is a lower-case letter" in result.output
+    assert not (tmp_path / "run").exists()
 
 
 def test_a_repeated_query_id_in_precomputed_results_is_a_load_error(tmp_path):
