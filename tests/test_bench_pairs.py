@@ -1,5 +1,5 @@
 """tools/bench_pairs.py: the summary of canned result lines, the refusal of a
-run that failed, and a whole run over two stand-in checkouts."""
+run that failed or was not checked, and a whole run over two stand-in checkouts."""
 
 import importlib.util
 import json
@@ -53,10 +53,16 @@ def test_report_prints_every_metric():
     assert out[1].endswith("change better in 3 of 10 pairs")
 
 
-def test_a_failed_or_incorrect_run_is_refused():
-    assert bench_pairs.refusal(line(0.4)) is None
-    assert "failed their checks" in bench_pairs.refusal(line(0.4, correct=False))
-    assert bench_pairs.refusal(line(0.4, failed=2)) == "2 of 10 records failed"
+CHECKED = {"expected_values": "checked"}
+
+
+def test_a_failed_incorrect_or_unchecked_run_is_refused():
+    assert bench_pairs.refusal(line(0.4), CHECKED) is None
+    assert "failed their checks" in bench_pairs.refusal(line(0.4, correct=False), CHECKED)
+    assert bench_pairs.refusal(line(0.4, failed=2), CHECKED) == "2 of 10 records failed"
+    unchecked = bench_pairs.refusal(line(0.4), {"expected_values": "none stored for this seed"})
+    assert unchecked == "the run's outputs were not checked against stored values (none stored for this seed)"
+    assert "not checked" in bench_pairs.refusal(line(0.4), {})
 
 
 FAKE_RUN = """\
@@ -70,14 +76,16 @@ setup = {setups}[seed - 1]
 print("# nproc: 2")
 print("# python: 3.11.7")
 print("# numpy: 2.0.0")
+print("# expected_values: {expected}")
 print(json.dumps({{"correct": True, "attempted": 10, "failed": {failed}, "metrics": {{
     "setup_s": {{"value": setup, "unit": "s"}}, "records_per_s": {{"value": 100.0, "unit": "1/s"}}}}}}))
 """
 
 
-def checkout(path, setups, failed=0):
+def checkout(path, setups, failed=0, expected="checked"):
     (path / "perfbench").mkdir(parents=True)
-    (path / "perfbench" / "run.py").write_text(FAKE_RUN.format(setups=setups, failed=failed), encoding="utf-8")
+    run = FAKE_RUN.format(setups=setups, failed=failed, expected=expected)
+    (path / "perfbench" / "run.py").write_text(run, encoding="utf-8")
     benchmark = {"end_to_end": [{"name": "records_per_s", "better": "higher"}, {"name": "setup_s", "better": "lower"}]}
     (path / "BENCHMARK.json").write_text(json.dumps(benchmark), encoding="utf-8")
     return path
@@ -105,5 +113,15 @@ def test_a_run_with_a_failed_record_stops_the_tool(tmp_path):
     argv = ["--parent", str(parent), "--change", str(change), "--workload", "w", "--metric", "setup_s",
             "--claim", "c", "--seeds", "2", "--seconds", "1"]
     with pytest.raises(SystemExit, match="1 of 10 records failed"):
+        bench_pairs.main(argv)
+    assert not (change / "BENCH_w.json").exists()
+
+
+def test_a_run_without_stored_expected_values_stops_the_tool(tmp_path):
+    parent = checkout(tmp_path / "parent", PARENT[:2], expected="none stored for this seed")
+    change = checkout(tmp_path / "change", CHANGE[:2])
+    argv = ["--parent", str(parent), "--change", str(change), "--workload", "w", "--metric", "setup_s",
+            "--claim", "c", "--seeds", "2", "--seconds", "1"]
+    with pytest.raises(SystemExit, match="not checked against stored values"):
         bench_pairs.main(argv)
     assert not (change / "BENCH_w.json").exists()

@@ -9,11 +9,12 @@ separate copies. For each seed 1..N it runs
     python3 perfbench/run.py --workload W --seed S --seconds N --trace 0
 
 in both checkouts, one after the other: odd seeds parent first, even seeds
-change first. A run that is not `correct` or has a failed record stops the
-tool. It prints every end-to-end metric's medians, quartiles and the number
-of pairs in which the change is better (ties count for neither side), and
-writes the claimed metric's summary and every pair to `--out` (by default
-`BENCH_<workload>.json` in the change checkout). Standard library only.
+change first. A run that is not `correct`, has a failed record or has no
+stored expected values for its seed stops the tool. It prints every
+end-to-end metric's medians, quartiles and the number of pairs in which the
+change is better (ties count for neither side), and writes the claimed
+metric's summary and every pair to `BENCH_<workload>.json` in the change
+checkout. Standard library only.
 """
 
 from __future__ import annotations
@@ -36,19 +37,21 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[
         line = json.loads(lines[-1])
     except (IndexError, ValueError):
         raise SystemExit(f"error: {checkout} seed {seed}: no result line\n{proc.stdout}{proc.stderr}") from None
-    problem = refusal(line)
+    info = dict(text[2:].split(": ", 1) for text in lines if text.startswith("# ") and ": " in text)
+    problem = refusal(line, info)
     if problem:
         raise SystemExit(f"error: {checkout} seed {seed}: {problem}\n{proc.stdout}{proc.stderr}")
-    info = dict(text[2:].split(": ", 1) for text in lines if text.startswith("# ") and ": " in text)
     return line, info
 
 
-def refusal(line: dict) -> str | None:
-    """Why a result line cannot stand in a pair, or None."""
+def refusal(line: dict, info: dict) -> str | None:
+    """Why a run (its result line and `# key: value` info) cannot stand in a pair, or None."""
     if line.get("correct") is not True:
         return "the run's outputs failed their checks"
     if line.get("failed") != 0:
         return f"{line.get('failed')} of {line.get('attempted')} records failed"
+    if info.get("expected_values") != "checked":
+        return f"the run's outputs were not checked against stored values ({info.get('expected_values')})"
     return None
 
 
@@ -97,7 +100,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--claim", required=True, help="what the change claims, in words")
     parser.add_argument("--seeds", type=int, default=10, help="seeds 1..N, one pair each")
     parser.add_argument("--seconds", type=float, default=36)
-    parser.add_argument("--out", type=Path, help="default: BENCH_<workload>.json in the change checkout")
     args = parser.parse_args(argv)
     if args.seeds < 2:
         parser.error("--seeds must be at least 2: quartiles need two runs")
@@ -130,7 +132,7 @@ def main(argv: list[str] | None = None) -> int:
         "summary": summarize(pairs, args.metric, better[args.metric]),
         "pairs": pairs,
     }
-    out = args.out or args.change / f"BENCH_{args.workload}.json"
+    out = args.change / f"BENCH_{args.workload}.json"
     out.write_text(json.dumps(bench, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {out}")
     return 0
