@@ -16,7 +16,8 @@ gathered by row index from the provider's `VectorTable`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, count, islice
+from operator import lt
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -42,32 +43,21 @@ class CoverageState:
 
 
 def _cosine_matrix(
-    rows: Sequence[str], cols: Sequence[str], vectors: Mapping[str, TermVector]
+    surfaces: Sequence[str], rows: Sequence[int], cols: Sequence[int], vectors: Mapping[str, TermVector]
 ) -> np.ndarray:
-    """Cosines of every row surface against every column surface, clipped to [-1, 1].
-
-    Raises what the pairwise `cosine` calls would: MissingVector for any row
-    surface, and, when there is at least one pair, MissingVector for a column
-    surface, DimensionMismatch for unequal dimensions and ZeroVector for a
-    zero vector. The vectors and norms are gathered once, by index, from the
-    table behind `vectors`: the rows, then each column surface that is not a
-    row. A plain mapping has the vectors of these surfaces copied into one block first.
-    """
-    if not rows or not cols:
-        lookup(vectors, rows)
+    """Cosines of the surfaces at ids `rows` against those at ids `cols`, clipped to [-1, 1], with the
+    errors pairwise `cosine` calls would raise: MissingVector for a row surface and, given a pair,
+    MissingVector for a column surface, DimensionMismatch or ZeroVector. Each surface is a row or a
+    column; their vectors are gathered by one index array from the table behind `vectors`."""
+    if not len(rows) or not len(cols):
+        lookup(vectors, [surfaces[i] for i in rows])
         return np.zeros((len(rows), len(cols)))
-    at = {s: i for i, s in enumerate(rows)}
-    extra = [s for s in dict.fromkeys(cols) if s not in at]
-    at.update(zip(extra, range(len(rows), len(rows) + len(extra))))
-    surfaces = [*rows, *extra]
     data, norms, idx = VectorView.of(vectors, surfaces).gather(surfaces)
-    lengths = norms[idx]
+    vecs, lengths = data[idx], norms[idx]
     if not lengths.all():
         raise ZeroVector("cosine undefined for the zero vector")
-    vecs = data[idx]
-    c = np.fromiter(map(at.__getitem__, cols), dtype=np.intp, count=len(cols))
-    sim = vecs[: len(rows)] @ vecs[c].T
-    sim /= np.outer(lengths[: len(rows)], lengths[c])
+    sim = vecs[rows] @ vecs[cols].T
+    sim /= np.outer(lengths[rows], lengths[cols])
     return np.clip(sim, -1.0, 1.0, out=sim)
 
 
@@ -90,27 +80,37 @@ class MaxSimScorer:
         row_surfaces: Iterable[str],
     ):
         self.pool = tuple(pool)
-        rows = sorted(set(row_surfaces))
-        self._row = {s: i for i, s in enumerate(rows)}
-        # The n sentences of w content terms form one group, laid out width-major: w runs
-        # of n columns, run k holding each sentence's k-th term in sorted order. Not in set
-        # order: that follows the string hash seed, and a column's place sets the last bits
-        # of its cosines. A group's MaxSim is the max of its runs; a sentence without terms keeps 0.
+        rows = list(row_surfaces)  # sorted and unique already when they are a provider's view
+        rows = rows if all(map(lt, rows, islice(rows, 1, None))) else sorted(set(rows))
+        self._row = ids = dict(zip(rows, count()))
+        # An id is a place in the sorted vocabulary, so a sentence's sorted ids are its sorted terms.
+        contents, vocabulary = [span.content for span in self.pool], rows
+        try:  # under `for_queries` every content term is a row, so the rows are the vocabulary
+            columns = [sorted(map(ids.__getitem__, content)) for content in contents]
+        except KeyError:  # `align_score` and `coverage`: the vocabulary adds content terms that are not rows
+            vocabulary = sorted(set(rows).union(*contents))
+            ids = dict(zip(vocabulary, count()))
+            columns = [sorted(map(ids.__getitem__, content)) for content in contents]
+        # The n sentences of w content terms form one group, laid out width-major: w runs of n columns,
+        # run k holding each sentence's k-th term in sorted order (not in set order, which follows the hash
+        # seed: a column's place sets its cosines' last bits). A group's MaxSim is the max of its runs.
         by_width: dict[int, list[int]] = {}
-        for pos, span in enumerate(self.pool):
-            if span.content:
-                by_width.setdefault(len(span.content), []).append(pos)
-        cols: list[str] = []
-        for positions in by_width.values():
-            cols.extend(chain.from_iterable(zip(*map(sorted, [self.pool[p].content for p in positions]))))
-        sim = _cosine_matrix(rows, cols, vectors)
-        # A term against itself has cosine exactly 1.0, as scalar `cosine` gives it, so
-        # a term a sentence holds verbatim has MaxSim 1.0 there. The product rounds
-        # some self-cosines one ulp below, and a tie would then go to that rounding
-        # instead of to the lower pool position.
-        row_of_col = np.fromiter(map(self._row.get, cols, repeat(-1)), dtype=np.intp, count=len(cols))
-        verbatim = row_of_col >= 0
-        sim[row_of_col[verbatim], verbatim.nonzero()[0]] = 1.0
+        for pos, col in enumerate(columns):
+            if col:
+                by_width.setdefault(len(col), []).append(pos)
+        runs = chain.from_iterable(zip(*map(columns.__getitem__, positions)) for positions in by_width.values())
+        c = np.array([i for run in runs for i in run], dtype=np.intp)
+        row_ids = np.arange(len(rows)) if vocabulary is rows else np.array([ids[s] for s in rows], dtype=np.intp)
+        sim = _cosine_matrix(vocabulary, row_ids, c, vectors)
+        # A term against itself has cosine exactly 1.0, as scalar `cosine` gives it, so a term a sentence holds
+        # verbatim has MaxSim 1.0 there and ties go to the lower pool position, not to the product's rounding of
+        # some self-cosines one ulp below. Column j holds term c[j], which is row c[j] when the rows are the vocabulary.
+        if vocabulary is rows:
+            sim[c, np.arange(len(c))] = 1.0
+        else:  # the row of each column's term, -1 for one that is not a row
+            r = np.array([self._row.get(s, -1) for s in vocabulary], dtype=np.intp)[c]
+            verbatim = np.flatnonzero(r >= 0)
+            sim[r[verbatim], verbatim] = 1.0
         best = np.zeros((len(rows), len(self.pool)))
         start = 0
         for width, positions in by_width.items():
@@ -136,13 +136,8 @@ class MaxSimScorer:
         vectors: Mapping[str, TermVector],
         queries: Iterable[Sequence[Term]],
     ) -> MaxSimScorer:
-        """Scorer for evidence chains: rows are the query terms plus, because
-        later hops re-query with selected evidence terms, the pool's content
-        terms. No rows (and no vector lookups) when every query is empty."""
-        rows = {t.surface for terms in queries for t in terms}
-        if rows:
-            rows.update(*(span.content for span in pool))
-        return cls(pool, vectors, rows)
+        """Scorer for evidence chains: its rows are `request_surfaces(queries, pool)`."""
+        return cls(pool, vectors, request_surfaces(queries, pool))
 
     def rows(self, surfaces: Iterable[str]) -> list[int]:
         """The row id of each surface; ValueError for a surface that is not a row."""
@@ -224,6 +219,15 @@ class MaxSimScorer:
         if positions and unrowed:
             raise ValueError(f"term {min(unrowed)!r} is not a row of this scorer")
         return CoverageState(covered=covered, remainder=query - covered, threshold=threshold)
+
+
+def request_surfaces(queries: Iterable[Sequence[Term]], pool: Sequence[SentenceSpan]) -> set[str]:
+    """The terms a request embeds and scores: the query terms plus, because later hops re-query
+    with selected evidence terms, the pool's content terms; none when every query is empty."""
+    surfaces = {t.surface for terms in queries for t in terms}
+    if surfaces:
+        surfaces.update(*(span.content for span in pool))
+    return surfaces
 
 
 def align_score(

@@ -214,13 +214,10 @@ class VectorView(Mapping[str, TermVector]):
     def __len__(self) -> int:
         return len(self._at)
 
-    def locate(self, surfaces: Iterable[str]) -> list[int]:
-        """The row of each surface; MissingVector for the first surface without one."""
-        return lookup(self._at, surfaces)
-
     def gather(self, surfaces: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(row array, norm array, index of each surface's row in them); MissingVector as `locate`."""
-        return (*self._table.arrays, np.array(self.locate(surfaces), dtype=np.intp))
+        """(row array, norm array, index of each surface's row in them); MissingVector for the first
+        surface without a row."""
+        return (*self._table.arrays, np.array(lookup(self._at, surfaces), dtype=np.intp))
 
 
 def _encode_rows(terms: Sequence[str], block: np.ndarray) -> str:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .alignment import MaxSimScorer
+from .alignment import MaxSimScorer, request_surfaces
 from .embeddings import EmbeddingProvider, TermVector
 from .highlight import HighlightedDocument, highlight
 from .retriever import EvidenceChain, RetrieverParams, collect_evidence, retrieve_parallel_chains
@@ -46,9 +46,8 @@ def gather_vectors(
     pool: Sequence[SentenceSpan],
     provider: EmbeddingProvider,
 ) -> Mapping[str, TermVector]:
-    query_surfaces = ([t.surface for t in q.terms] for q in queries)
-    surfaces = set().union(*query_surfaces, *(span.content for span in pool))
-    return provider.embed_terms(surfaces)
+    """The provider's view of the request's `request_surfaces`, which holds them in sorted order."""
+    return provider.embed_terms(request_surfaces([q.terms for q in queries], pool))
 
 
 def select_evidence(
@@ -67,7 +66,7 @@ def select_evidence(
     pool = sentence_pool(passages)
     vectors = gather_vectors(queries, pool, provider)
     query_terms = [q.terms for q in queries if q.terms]
-    scorer = MaxSimScorer.for_queries(pool, vectors, query_terms)
+    scorer = MaxSimScorer(pool, vectors, vectors)  # the rows `for_queries` gives, sorted already
     chains: list[EvidenceChain] = []
     for terms in query_terms:
         chains.extend(retrieve_parallel_chains(terms, pool, vectors, params, scorer=scorer))

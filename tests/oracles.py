@@ -12,13 +12,13 @@ import json
 import math
 from bisect import bisect_left
 from collections import Counter
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from ragmark.embeddings import TermVector
+from ragmark.embeddings import TermVector, VectorView, lookup
 from ragmark.errors import DimensionMismatch, MissingVector, ZeroVector
 from ragmark.text import STOPWORDS, SentenceSpan, extract_terms, word_surfaces
 
@@ -288,3 +288,59 @@ def reference_maxsim(
             for s in span.content:
                 best[i, p] = max(best[i, p], 1.0 if s == row else float(sim[i, at[s]]))
     return best
+
+
+def reference_scorer_best(
+    pool: Sequence[SentenceSpan], vectors: Mapping[str, TermVector], row_surfaces: Sequence[str]
+) -> np.ndarray:
+    """`best` as `alignment.MaxSimScorer` built it before one vocabulary pass gave its ids.
+
+    The sorted unique rows; width-major columns of each sentence's sorted terms, as surfaces;
+    `at`, a second row index grown by the column surfaces that are not rows (`extra`), to
+    gather the vectors and look each column up; the product `rows @ cols.T` divided by the
+    outer product of the norms and clipped; a verbatim pin that maps every column through the
+    row index again; then the max over each width group's runs and `max(0, .)`.
+    """
+    pool = tuple(pool)
+    rows = sorted(set(row_surfaces))
+    row_of = {s: i for i, s in enumerate(rows)}
+    by_width: dict[int, list[int]] = {}
+    for pos, span in enumerate(pool):
+        if span.content:
+            by_width.setdefault(len(span.content), []).append(pos)
+    cols: list[str] = []
+    for positions in by_width.values():
+        cols.extend(chain.from_iterable(zip(*map(sorted, [pool[p].content for p in positions]))))
+    if not rows or not cols:
+        lookup(vectors, rows)
+        sim = np.zeros((len(rows), len(cols)))
+    else:
+        at = {s: i for i, s in enumerate(rows)}
+        extra = [s for s in dict.fromkeys(cols) if s not in at]
+        at.update(zip(extra, range(len(rows), len(rows) + len(extra))))
+        surfaces = [*rows, *extra]
+        data, norms, idx = VectorView.of(vectors, surfaces).gather(surfaces)
+        lengths = norms[idx]
+        if not lengths.all():
+            raise ZeroVector("cosine undefined for the zero vector")
+        vecs = data[idx]
+        c = np.fromiter(map(at.__getitem__, cols), dtype=np.intp, count=len(cols))
+        sim = vecs[: len(rows)] @ vecs[c].T
+        sim /= np.outer(lengths[: len(rows)], lengths[c])
+        np.clip(sim, -1.0, 1.0, out=sim)
+    row_of_col = np.fromiter(map(row_of.get, cols, repeat(-1)), dtype=np.intp, count=len(cols))
+    verbatim = row_of_col >= 0
+    sim[row_of_col[verbatim], verbatim.nonzero()[0]] = 1.0
+    best = np.zeros((len(rows), len(pool)))
+    start = 0
+    for width, positions in by_width.items():
+        n = len(positions)
+        group = sim[:, start : start + n]
+        for k in range(1, width):
+            np.maximum(group, sim[:, start + k * n : start + (k + 1) * n], out=group)
+        if n == len(pool):
+            best = group
+        else:
+            best[:, positions] = group
+        start += width * n
+    return np.fmax(best, 0.0) + 0.0

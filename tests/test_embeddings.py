@@ -156,9 +156,10 @@ class TestVectorCache:
 
             def embed(i: int) -> None:
                 start.wait(timeout=30)
+                ids = list(range(len(term_sets[i])))
                 for _ in range(3):
                     vectors = provider.embed_terms(term_sets[i])
-                    matrices[i].append(_cosine_matrix(term_sets[i], term_sets[i], vectors))
+                    matrices[i].append(_cosine_matrix(term_sets[i], ids, ids, vectors))
 
             threads = [threading.Thread(target=embed, args=(i,)) for i in range(len(term_sets))]
             interval = sys.getswitchinterval()

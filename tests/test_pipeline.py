@@ -1,8 +1,8 @@
 import pytest
 
-from ragmark.embeddings import OfflineEmbeddingProvider, ProviderConfig
+from ragmark.embeddings import OfflineEmbeddingProvider, ProviderConfig, VectorCache
 from ragmark.errors import EmptyReply
-from ragmark.highlight import OPEN_TAG, strip_tags
+from ragmark.highlight import OPEN_TAG, highlight, strip_tags
 from ragmark.pipeline import build_queries, select_evidence
 from ragmark.retriever import RetrieverParams
 from ragmark.stepback import StubChatClient, conjoin, stepback_choice_concepts, stepback_question
@@ -155,3 +155,16 @@ class TestSelectEvidence:
         r2 = select_evidence(*args, OfflineEmbeddingProvider(dimension=64, seed=0))
         assert r1.evidence == r2.evidence
         assert r1.document == r2.document
+
+    def test_a_request_with_no_query_terms_embeds_nothing(self, tmp_path, arid_passage):
+        # Every word of the question is a stopword: no chain runs, so no vector is needed.
+        path = tmp_path / "vectors.jsonl"
+        provider = OfflineEmbeddingProvider(cache=VectorCache(path))
+        provider.embed_terms({"bats", "water"})
+        before = path.read_bytes()
+        result = select_evidence("Is it the that they are?", [arid_passage], provider)
+        assert provider.fetch_count == 2
+        assert path.read_bytes() == before
+        assert (result.chains, result.evidence, result.scoring_calls) == ((), (), 0)
+        assert result.document == highlight([arid_passage], [])
+        assert result == select_evidence("Is it the that they are?", [arid_passage], OfflineEmbeddingProvider())

@@ -71,6 +71,13 @@ def draw(rng, surfaces: list[str], most: int) -> list[str]:
     return [str(s) for s in rng.choice(surfaces, size=int(rng.integers(0, most + 1)))]
 
 
+def cosine_matrix(rows, cols, vectors):
+    """`_cosine_matrix` of the surfaces `rows` against the surfaces `cols`, through their ids."""
+    surfaces = list(dict.fromkeys([*rows, *cols]))
+    at = {s: i for i, s in enumerate(surfaces)}
+    return _cosine_matrix(surfaces, [at[s] for s in rows], [at[s] for s in cols], vectors)
+
+
 def outcome(rows, cols, vectors, build):
     try:
         return build(rows, cols, vectors)
@@ -79,7 +86,7 @@ def outcome(rows, cols, vectors, build):
 
 
 def assert_same(rows, cols, view, vectors):
-    got = outcome(rows, cols, view, _cosine_matrix)
+    got = outcome(rows, cols, view, cosine_matrix)
     want = outcome(rows, cols, vectors, reference_cosine_matrix)
     if isinstance(want, type) or isinstance(got, type):
         assert got is want
@@ -231,7 +238,7 @@ def test_a_cached_zero_vector_raises_once_it_forms_a_pair(tmp_path):
     provider = OfflineEmbeddingProvider(dimension=16, cache=VectorCache(cache_with(tmp_path, "rain", (0.0,) * 16)))
     vectors = provider.embed_terms({"rain", "rare", "water"})
     assert vectors["rain"].values == (0.0,) * 16  # held and handed out: no pair yet
-    assert _cosine_matrix(["rain"], [], vectors).shape == (1, 0)
+    assert cosine_matrix(["rain"], [], vectors).shape == (1, 0)
     stopwords_only = split_sentences("s", "It is there.")[0]
     assert align_score([Term("rain", False)], stopwords_only, vectors).score == 0.0
     rain_sentence = split_sentences("p2", PASSAGES[1].text)[1]
@@ -272,7 +279,7 @@ def test_held_views_gather_the_reference_matrix_while_a_writer_grows_the_rows():
             held = list(stored)
             for i in (0, len(held) - 1):
                 try:
-                    gathered[r].append(np.array_equal(_cosine_matrix(chunks[i], chunks[i], held[i]), want[i]))
+                    gathered[r].append(np.array_equal(cosine_matrix(chunks[i], chunks[i], held[i]), want[i]))
                 except Exception as exc:  # reported by the assert below
                     gathered[r].append(exc)
 

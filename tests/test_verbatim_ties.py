@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from ragmark import alignment
 from ragmark.alignment import MaxSimScorer, align_score
-from ragmark.embeddings import OfflineEmbeddingProvider, TermVector, VectorView
+from ragmark.embeddings import OfflineEmbeddingProvider, TermVector, VectorView, lookup
 from ragmark.retriever import RetrieverParams, retrieve_chain, retrieve_parallel_chains
 from ragmark.text import Term, extract_terms, split_sentences
 
@@ -79,15 +79,14 @@ def test_sentences_holding_equally_many_query_terms_rank_by_position(fixture):
     assert chain.hops[0].sentence == pool[0]
 
 
-def transposed_cosine_matrix(rows, cols, vectors):
+def transposed_cosine_matrix(surfaces, rows, cols, vectors):
     """`alignment._cosine_matrix` with the product taken as `(C @ R.T).T`, whose last bits
     differ from `R @ C.T` on some entries."""
-    view = VectorView.of(vectors, [*rows, *cols])
-    if not rows or not cols:
-        view.locate(rows)
+    if not len(rows) or not len(cols):
+        lookup(vectors, [surfaces[i] for i in rows])
         return np.zeros((len(rows), len(cols)))
-    data, norms, idx = view.gather([*rows, *cols])
-    r, c = idx[: len(rows)], idx[len(rows) :]
+    data, norms, idx = VectorView.of(vectors, surfaces).gather(surfaces)
+    r, c = idx[rows], idx[cols]
     return np.clip((data[c] @ data[r].T).T / np.outer(norms[r], norms[c]), -1.0, 1.0)
 
 
@@ -116,8 +115,15 @@ def test_random_fixtures_give_the_same_chains_under_the_transposed_product(monke
         return [chain_picks(retrieve_parallel_chains(q, pool, vectors, params), pool) for q, pool in fixtures]
 
     today = all_chains()
-    monkeypatch.setattr(alignment, "_cosine_matrix", transposed_cosine_matrix)
+    calls = []
+
+    def transposed(*args):
+        calls.append(args)
+        return transposed_cosine_matrix(*args)
+
+    monkeypatch.setattr(alignment, "_cosine_matrix", transposed)
     assert all_chains() == today
+    assert calls  # the scorers took their products through the patched function
 
 
 @pytest.mark.parametrize("seed", range(5))
