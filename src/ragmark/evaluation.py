@@ -13,7 +13,7 @@ import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import (
     DuplicateId,
@@ -67,8 +67,8 @@ class RunSetting:
             raise ValueError("highlighting and stepback must be true or false")
         if self.top_k is not None and (type(self.top_k) is not int or self.top_k < 1):  # a bool is not an int here
             raise ValueError(f"top_k must be an integer of at least 1, or null for every passage; got {self.top_k!r}")
-        if self.model_family not in _BUILDERS:
-            raise ValueError(f"unknown model family {self.model_family!r}; expected one of {tuple(_BUILDERS)}")
+        if self.model_family not in _TEMPLATES:
+            raise ValueError(f"unknown model family {self.model_family!r}; expected one of {tuple(_TEMPLATES)}")
 
 
 @dataclass(frozen=True)
@@ -183,70 +183,27 @@ def format_choices(choices: dict[str, str]) -> str:
     return "\n".join(f"{label}. {choices[label]}" for label in sorted(choices))
 
 
-def _mistral_prompt(record: EvalRecord, documents: str | None) -> str:
-    docs_block = f"Documents: {documents}\n\n" if documents is not None else ""
-    if record.task == "mcq":
-        lead = "Refer to the following documents, follow the instruction and answer the question.\n\n" if documents is not None else ""
-        return (
-            f"{lead}{docs_block}"
-            f"Question: {record.question}\n\n"
-            f"Choices:\n{format_choices(record.choices)}\n\n"
-            f"Instruction: {_MCQ_INSTRUCTION}"
-        )
-    if record.task == "claim-verification":
-        return (
-            f"{_CLAIM_INSTRUCTION}\n\n"
-            f"{docs_block}"
-            f"Statement: {record.question}\n"
-            f"### Response:"
-        )
-    lead = "Refer to the following documents, follow the instruction and answer the question.\n\n### Input:\n" if documents is not None else ""
-    return (
-        f"{lead}{docs_block}"
-        f"### Instruction: Answer the question: {record.question}\n"
-        f"### Response:"
-    )
+_READ_LEAD = "Refer to the following documents, follow the instruction and answer the question.\n\n"
+_ALPACA_HEAD = f"{_ALPACA_PREAMBLE}\n\n### Instruction: "
 
+_ALPACA = {  # task -> template
+    "mcq": _ALPACA_HEAD + _MCQ_INSTRUCTION + "\n\n### Input:\n{documents}Question: {question}\nChoices:\n{choices}\n\n### Response:",
+    "claim-verification": _ALPACA_HEAD + _CLAIM_INSTRUCTION + "\n\n### Input:\n{documents}Statement: {question}\n### Response:",
+    "factoid": _ALPACA_HEAD + "Refer to the following documents and answer the question.\n### Input:\n{documents}Question: {question}\n### Response:",
+}
 
-def _alpaca_body(record: EvalRecord, documents: str | None) -> str:
-    docs_block = f"Documents: {documents}\n\n" if documents is not None else ""
-    if record.task == "mcq":
-        return (
-            f"### Instruction: {_MCQ_INSTRUCTION}\n\n"
-            f"### Input:\n{docs_block}"
-            f"Question: {record.question}\n"
-            f"Choices:\n{format_choices(record.choices)}\n\n"
-            f"### Response:"
-        )
-    if record.task == "claim-verification":
-        return (
-            f"### Instruction: {_CLAIM_INSTRUCTION}\n\n"
-            f"### Input:\n{docs_block}"
-            f"Statement: {record.question}\n"
-            f"### Response:"
-        )
-    return (
-        f"### Instruction: Refer to the following documents and answer the question.\n"
-        f"### Input:\n{docs_block}"
-        f"Question: {record.question}\n"
-        f"### Response:"
-    )
-
-
-def _alpaca_prompt(record: EvalRecord, documents: str | None) -> str:
-    return f"{_ALPACA_PREAMBLE}\n\n{_alpaca_body(record, documents)}"
-
-
-def _llama2_prompt(record: EvalRecord, documents: str | None) -> str:
-    if record.task == "mcq":
-        return _alpaca_prompt(record, documents)
-    return f"{_LLAMA_SYS}\n\n{_ALPACA_PREAMBLE}\n\n{_alpaca_body(record, documents)} [/INST]"
-
-
-_BUILDERS: dict[str, Callable[[EvalRecord, str | None], str]] = {
-    "mistral": _mistral_prompt,
-    "alpaca": _alpaca_prompt,
-    "llama2": _llama2_prompt,
+# Model family -> task -> (template, the text that opens its Documents block). A template's fields
+# are {documents}, {question} and, for mcq, {choices}; the texts it is built from hold no brace.
+_TEMPLATES: dict[str, dict[str, tuple[str, str]]] = {
+    "mistral": {
+        "mcq": ("{documents}Question: {question}\n\nChoices:\n{choices}\n\nInstruction: " + _MCQ_INSTRUCTION, _READ_LEAD),
+        "claim-verification": (_CLAIM_INSTRUCTION + "\n\n{documents}Statement: {question}\n### Response:", ""),
+        "factoid": ("{documents}### Instruction: Answer the question: {question}\n### Response:", _READ_LEAD + "### Input:\n"),
+    },
+    "alpaca": {task: (template, "") for task, template in _ALPACA.items()},
+    "llama2": {  # an mcq in the alpaca format, with no system block
+        task: (template if task == "mcq" else _LLAMA_SYS + "\n\n" + template + " [/INST]", "") for task, template in _ALPACA.items()
+    },
 }
 
 
@@ -261,7 +218,7 @@ def build_prompt(
     evidence-only string, or None for the no-retrieval setting, in which case
     the Documents block is omitted entirely.
     """
-    if model_family not in _BUILDERS:
+    if model_family not in _TEMPLATES:
         raise UnknownTemplate(f"no template for model family {model_family!r}")
     if record.task not in TASKS:
         raise UnknownTemplate(f"no template for task {record.task!r}")
@@ -269,7 +226,12 @@ def build_prompt(
         documents = context.rendered()
     else:
         documents = context
-    return _BUILDERS[model_family](record, documents)
+    template, lead = _TEMPLATES[model_family][record.task]
+    return template.format(
+        documents="" if documents is None else f"{lead}Documents: {documents}\n\n",
+        question=record.question,
+        choices=format_choices(record.choices) if record.task == "mcq" else "",
+    )
 
 
 # --- scoring ----------------------------------------------------------------

@@ -71,7 +71,7 @@ def highlight(passages: list[Passage], evidence: list[SentenceSpan]) -> Highligh
     """
     out = []
     for passage, spans in _spans_by_passage(passages, evidence):
-        if OPEN_TAG in passage.text or CLOSE_TAG in passage.text:
+        if any(tag in passage.title or tag in passage.text for tag in (OPEN_TAG, CLOSE_TAG)):
             raise AlreadyTagged(f"passage {passage.id!r} already contains evidence tags")
         pieces = []
         cursor = 0

@@ -20,6 +20,7 @@ import numpy as np
 
 from ragmark.embeddings import TermVector, VectorView, lookup
 from ragmark.errors import DimensionMismatch, MissingVector, ZeroVector
+from ragmark.highlight import HighlightedDocument
 from ragmark.text import STOPWORDS, SentenceSpan, extract_terms, word_surfaces
 
 
@@ -344,3 +345,107 @@ def reference_scorer_best(
             best[:, positions] = group
         start += width * n
     return np.fmax(best, 0.0) + 0.0
+
+
+# --- prompts: the per-family builders, instruction texts included, kept verbatim as the reference.
+
+_MCQ_INSTRUCTION = (
+    "Given four answer candidates, A, B, C and D, choose the best answer choice.\n"
+    "Please answer with the capitalized alphabet only, without adding any extra phrase or period."
+)
+
+_CLAIM_INSTRUCTION = (
+    "Read the documents and answer the question: Is the following statement correct or not? "
+    "Only say true if the statement is true; otherwise say false. Don't capitalize or add "
+    "periods, just say \"true\" or \"false\"."
+)
+
+_ALPACA_PREAMBLE = (
+    "Below is an instruction that describes a task. "
+    "Write a response that appropriately completes the request."
+)
+
+_LLAMA_SYS = """<s>[INST] <<SYS>>
+You are a helpful, respectful and honest assistant. Always answer as helpfully as possible, while being safe. Your answers should not include any harmful, unethical, racist, sexist, toxic, dangerous, or illegal content. Please ensure that your responses are socially unbiased and positive in nature.
+
+If a question does not make any sense, or is not factually coherent, explain why instead of answering something not correct. If you don't know the answer to a question, please don't share false information.
+<</SYS>>"""
+
+
+def format_choices(choices: dict[str, str]) -> str:
+    return "\n".join(f"{label}. {choices[label]}" for label in sorted(choices))
+
+
+def _mistral_prompt(record, documents: str | None) -> str:
+    docs_block = f"Documents: {documents}\n\n" if documents is not None else ""
+    if record.task == "mcq":
+        lead = "Refer to the following documents, follow the instruction and answer the question.\n\n" if documents is not None else ""
+        return (
+            f"{lead}{docs_block}"
+            f"Question: {record.question}\n\n"
+            f"Choices:\n{format_choices(record.choices)}\n\n"
+            f"Instruction: {_MCQ_INSTRUCTION}"
+        )
+    if record.task == "claim-verification":
+        return (
+            f"{_CLAIM_INSTRUCTION}\n\n"
+            f"{docs_block}"
+            f"Statement: {record.question}\n"
+            f"### Response:"
+        )
+    lead = "Refer to the following documents, follow the instruction and answer the question.\n\n### Input:\n" if documents is not None else ""
+    return (
+        f"{lead}{docs_block}"
+        f"### Instruction: Answer the question: {record.question}\n"
+        f"### Response:"
+    )
+
+
+def _alpaca_body(record, documents: str | None) -> str:
+    docs_block = f"Documents: {documents}\n\n" if documents is not None else ""
+    if record.task == "mcq":
+        return (
+            f"### Instruction: {_MCQ_INSTRUCTION}\n\n"
+            f"### Input:\n{docs_block}"
+            f"Question: {record.question}\n"
+            f"Choices:\n{format_choices(record.choices)}\n\n"
+            f"### Response:"
+        )
+    if record.task == "claim-verification":
+        return (
+            f"### Instruction: {_CLAIM_INSTRUCTION}\n\n"
+            f"### Input:\n{docs_block}"
+            f"Statement: {record.question}\n"
+            f"### Response:"
+        )
+    return (
+        f"### Instruction: Refer to the following documents and answer the question.\n"
+        f"### Input:\n{docs_block}"
+        f"Question: {record.question}\n"
+        f"### Response:"
+    )
+
+
+def _alpaca_prompt(record, documents: str | None) -> str:
+    return f"{_ALPACA_PREAMBLE}\n\n{_alpaca_body(record, documents)}"
+
+
+def _llama2_prompt(record, documents: str | None) -> str:
+    if record.task == "mcq":
+        return _alpaca_prompt(record, documents)
+    return f"{_LLAMA_SYS}\n\n{_ALPACA_PREAMBLE}\n\n{_alpaca_body(record, documents)} [/INST]"
+
+
+_BUILDERS = {
+    "mistral": _mistral_prompt,
+    "alpaca": _alpaca_prompt,
+    "llama2": _llama2_prompt,
+}
+
+
+def reference_prompt(record, context: HighlightedDocument | str | None, model_family: str) -> str:
+    """The prompt as `evaluation.build_prompt` rendered it with one builder per model family and
+    a branch per task, before its template table: the Documents block only when `context` is not
+    None, and a `HighlightedDocument` as its `rendered()` text."""
+    documents = context.rendered() if isinstance(context, HighlightedDocument) else context
+    return _BUILDERS[model_family](record, documents)

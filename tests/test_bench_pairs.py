@@ -1,5 +1,6 @@
 """tools/bench_pairs.py: the summary of canned result lines, the refusal of a
-run that failed or was not checked, and a whole run over two stand-in checkouts."""
+run that failed, was not checked or was slowed by other load, and a whole run
+over two stand-in checkouts."""
 
 import importlib.util
 import json
@@ -65,6 +66,31 @@ def test_a_failed_incorrect_or_unchecked_run_is_refused():
     assert "not checked" in bench_pairs.refusal(line(0.4), {})
 
 
+# `probe_s` lines of ten quiet dense-k11 `--seconds 10` runs on 2 cores, and of one run
+# with a busy loop on the other core, which read 296 records/s against 704-760.
+QUIET_PROBES = [
+    "median 0.01135, min 0.00990, max 0.06157 (nominal 0.01)",
+    "median 0.01062, min 0.00992, max 0.02119 (nominal 0.01)",
+    "median 0.01036, min 0.00974, max 0.02223 (nominal 0.01)",
+    "median 0.01070, min 0.00991, max 0.02189 (nominal 0.01)",
+    "median 0.01068, min 0.00962, max 0.02102 (nominal 0.01)",
+    "median 0.01073, min 0.00997, max 0.02346 (nominal 0.01)",
+    "median 0.01051, min 0.00954, max 0.02609 (nominal 0.01)",
+    "median 0.01010, min 0.00953, max 0.01897 (nominal 0.01)",
+    "median 0.01006, min 0.00905, max 0.01840 (nominal 0.01)",
+    "median 0.01062, min 0.00944, max 0.02403 (nominal 0.01)",
+]
+DISTURBED_PROBE = "median 0.01336, min 0.00869, max 0.03274 (nominal 0.01)"
+
+
+def test_a_run_slowed_by_other_load_is_refused():
+    for probe in QUIET_PROBES:
+        assert bench_pairs.disturbance({**CHECKED, "probe_s": probe}) is None
+    problem = bench_pairs.disturbance({**CHECKED, "probe_s": DISTURBED_PROBE})
+    assert problem == f"other load slowed the run: its median speed probe took 1.54x its fastest, more than 1.3x ({DISTURBED_PROBE})"
+    assert bench_pairs.disturbance(CHECKED) is None  # a run that reports no probes is not refused for them
+
+
 FAKE_RUN = """\
 import argparse, json
 p = argparse.ArgumentParser()
@@ -77,14 +103,15 @@ print("# nproc: 2")
 print("# python: 3.11.7")
 print("# numpy: 2.0.0")
 print("# expected_values: {expected}")
+print("# probe_s: {probe}")
 print(json.dumps({{"correct": True, "attempted": 10, "failed": {failed}, "metrics": {{
     "setup_s": {{"value": setup, "unit": "s"}}, "records_per_s": {{"value": 100.0, "unit": "1/s"}}}}}}))
 """
 
 
-def checkout(path, setups, failed=0, expected="checked"):
+def checkout(path, setups, failed=0, expected="checked", probe=QUIET_PROBES[0]):
     (path / "perfbench").mkdir(parents=True)
-    run = FAKE_RUN.format(setups=setups, failed=failed, expected=expected)
+    run = FAKE_RUN.format(setups=setups, failed=failed, expected=expected, probe=probe)
     (path / "perfbench" / "run.py").write_text(run, encoding="utf-8")
     benchmark = {"end_to_end": [{"name": "records_per_s", "better": "higher"}, {"name": "setup_s", "better": "lower"}]}
     (path / "BENCHMARK.json").write_text(json.dumps(benchmark), encoding="utf-8")
@@ -123,5 +150,15 @@ def test_a_run_without_stored_expected_values_stops_the_tool(tmp_path):
     argv = ["--parent", str(parent), "--change", str(change), "--workload", "w", "--metric", "setup_s",
             "--claim", "c", "--seeds", "2", "--seconds", "1"]
     with pytest.raises(SystemExit, match="not checked against stored values"):
+        bench_pairs.main(argv)
+    assert not (change / "BENCH_w.json").exists()
+
+
+def test_a_run_slowed_by_other_load_stops_the_tool(tmp_path):
+    parent = checkout(tmp_path / "parent", PARENT[:2], probe=DISTURBED_PROBE)
+    change = checkout(tmp_path / "change", CHANGE[:2])
+    argv = ["--parent", str(parent), "--change", str(change), "--workload", "w", "--metric", "setup_s",
+            "--claim", "c", "--seeds", "2", "--seconds", "1"]
+    with pytest.raises(SystemExit, match="parent seed 1: other load slowed the run"):
         bench_pairs.main(argv)
     assert not (change / "BENCH_w.json").exists()

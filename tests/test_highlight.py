@@ -68,9 +68,12 @@ class TestHighlight:
             highlight([passage], [bad])
 
     def test_refuses_already_tagged_input(self):
-        passage = Passage("p", "", f"Contains {OPEN_TAG}tags{CLOSE_TAG} already.")
-        with pytest.raises(AlreadyTagged):
-            highlight([passage], [])
+        for passage in [
+            Passage("p", "", f"Contains {OPEN_TAG}tags{CLOSE_TAG} already."),
+            Passage("p", f"A {OPEN_TAG}x{CLOSE_TAG}", "Untagged text."),
+        ]:
+            with pytest.raises(AlreadyTagged):
+                highlight([passage], [])
 
     @given(st.data())
     def test_strip_round_trip_random(self, data):

@@ -96,15 +96,17 @@ def chain_picks(chains, pool):
 
 
 def test_random_fixtures_give_the_same_chains_under_the_transposed_product(monkeypatch):
-    provider = OfflineEmbeddingProvider(dimension=16, seed=11)
-    vocab = [f"w{i}z" for i in range(60)]
+    # 64-d vectors and pools of 60-120 sentences: on smaller products BLAS can give the
+    # transposed product the same bits, and then the chains are equal by construction.
+    provider = OfflineEmbeddingProvider(dimension=64, seed=11)
+    vocab = [f"w{i}z" for i in range(200)]
     vectors = provider.embed_terms(vocab)
     rng = np.random.default_rng(17)
     fixtures = []
     for _ in range(150):
         sentences = [
             " ".join(rng.choice(vocab, size=int(rng.integers(1, 4)), replace=False)) + "."
-            for _ in range(int(rng.integers(2, 30)))
+            for _ in range(int(rng.integers(60, 121)))
         ]
         pool = tuple(split_sentences(f"p{i}", s)[0] for i, s in enumerate(sentences))
         query = [Term(str(q), False) for q in rng.choice(vocab, size=int(rng.integers(1, 10)), replace=False)]
@@ -115,15 +117,20 @@ def test_random_fixtures_give_the_same_chains_under_the_transposed_product(monke
         return [chain_picks(retrieve_parallel_chains(q, pool, vectors, params), pool) for q, pool in fixtures]
 
     today = all_chains()
-    calls = []
+    real = alignment._cosine_matrix
+    products = differing = 0
 
     def transposed(*args):
-        calls.append(args)
-        return transposed_cosine_matrix(*args)
+        nonlocal products, differing
+        got = transposed_cosine_matrix(*args)
+        products += 1
+        differing += got.tobytes() != real(*args).tobytes()
+        return got
 
     monkeypatch.setattr(alignment, "_cosine_matrix", transposed)
     assert all_chains() == today
-    assert calls  # the scorers took their products through the patched function
+    assert products  # the scorers took their products through the patched function
+    assert differing > 0  # and the transposed product changed the bits of some of them
 
 
 @pytest.mark.parametrize("seed", range(5))

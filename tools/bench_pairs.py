@@ -9,18 +9,20 @@ separate copies. For each seed 1..N it runs
     python3 perfbench/run.py --workload W --seed S --seconds N --trace 0
 
 in both checkouts, one after the other: odd seeds parent first, even seeds
-change first. A run that is not `correct`, has a failed record or has no
-stored expected values for its seed stops the tool. It prints every
-end-to-end metric's medians, quartiles and the number of pairs in which the
-change is better (ties count for neither side), and writes the claimed
-metric's summary and every pair to `BENCH_<workload>.json` in the change
-checkout. Standard library only.
+change first. A run that is not `correct`, has a failed record, has no
+stored expected values for its seed or was slowed by other load (its
+median speed probe more than MAX_PROBE_SPREAD times its fastest) stops the
+tool. It prints every end-to-end metric's medians, quartiles and the number
+of pairs in which the change is better (ties count for neither side), and
+writes the claimed metric's summary and every pair to `BENCH_<workload>.json`
+in the change checkout. Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import statistics
 import subprocess
 import sys
@@ -52,6 +54,26 @@ def refusal(line: dict, info: dict) -> str | None:
         return f"{line.get('failed')} of {line.get('attempted')} records failed"
     if info.get("expected_values") != "checked":
         return f"the run's outputs were not checked against stored values ({info.get('expected_values')})"
+    return None
+
+
+# A run's `probe_s` info line gives the median and the fastest of its speed probes. Other
+# load on the machine slows most probes but not the fastest, so the ratio rises: ten quiet
+# dense-k11 `--seconds 10` runs on 2 cores read 1.06-1.15, and one beside a busy loop on
+# the other core read 1.54 (296 records/s against 704-760 for the quiet ones). bm25-20k and
+# mcq-stepback beside the same loop kept their speed and read 1.08 and 1.09.
+MAX_PROBE_SPREAD = 1.3
+_PROBE = re.compile(r"median ([0-9.]+), min ([0-9.]+)")
+
+
+def disturbance(info: dict) -> str | None:
+    """Why a run's `probe_s` info says other load slowed it, or None; a run that reports no probes passes."""
+    probe = _PROBE.match(info.get("probe_s", ""))
+    if probe and float(probe[1]) > MAX_PROBE_SPREAD * float(probe[2]):
+        return (
+            f"other load slowed the run: its median speed probe took {float(probe[1]) / float(probe[2]):.2f}x "
+            f"its fastest, more than {MAX_PROBE_SPREAD}x ({info['probe_s']})"
+        )
     return None
 
 
@@ -117,6 +139,9 @@ def main(argv: list[str] | None = None) -> int:
         pair: dict = {"seed": seed, "first": order[0]}
         for side in order:
             pair[side], info = run_once(getattr(args, side), args.workload, seed, args.seconds)
+            problem = disturbance(info)
+            if problem:
+                raise SystemExit(f"error: {getattr(args, side)} seed {seed}: {problem}")
             print(f"seed {seed} {side}: {args.metric} {value(pair[side], args.metric):.6g}", flush=True)
         pairs.append({key: pair[key] for key in ("seed", "first", "parent", "change")})
 
