@@ -24,7 +24,6 @@ from __future__ import annotations
 import base64
 import binascii
 import hashlib
-import math
 import os
 import sys
 import threading
@@ -144,8 +143,9 @@ class VectorTable:
                 data, norms = np.empty((size, dim)), np.empty(size)
                 data[:n], norms[:n] = self.arrays[0][:n], self.arrays[1][:n]
             data[n:end] = block
+            rows = data[n:end]
             with np.errstate(over="ignore", invalid="ignore"):  # an inf or nan row fails only once paired
-                norms[n:end] = np.linalg.norm(data[n:end], axis=1)
+                norms[n:end] = np.sqrt(np.add.reduce(rows * rows, axis=1))  # np.linalg.norm's, for real rows
             self.arrays = (data, norms)
             self._n = end
             self._at.update(zip(surfaces, count(n)))
@@ -228,8 +228,9 @@ def _encode_rows(terms: Sequence[str], block: np.ndarray) -> str:
     """
     tail = f', "dim": {block.shape[1]}, "f64": "'
     rows = np.ascontiguousarray(block, dtype="<f8")
+    b2a_base64 = binascii.b2a_base64  # what `base64.b64encode` calls
     return "".join(
-        f'{{"term": {encode_basestring_ascii(t)}{tail}{base64.b64encode(row).decode("ascii")}"}}\n'
+        f'{{"term": {encode_basestring_ascii(t)}{tail}{b2a_base64(row, newline=False).decode("ascii")}"}}\n'
         for t, row in zip(terms, rows)
     )
 
@@ -351,14 +352,21 @@ def _column(values: Sequence[int]) -> np.ndarray:
     return np.array(values, dtype=np.uint32)[:, None]
 
 
+def _mix_column(first: int, src: int) -> np.ndarray:
+    """The constants of mixing round `src`, one per pool word: the three of the other words from
+    `_A[first + 3 * src]` on, in word order, and 0 for word `src`, whose result the round discards."""
+    values = _A[first + 3 * src : first + 3 * src + 3]
+    return _column(values[:src] + [0] + values[src:])
+
+
 # NumPy's SeedSequence (pool size 4) hashes every word with the next value of a
 # running constant that does not depend on the data: INIT_A/MULT_A while it
 # fills and mixes the pool (4 + 12 words), INIT_B/MULT_B while it draws from it.
 _A = _hash_constants(0x43B0D7E5, 0x931E8875, 17)
 _B = _hash_constants(0x8B51F9DD, 0x58F38DED, 9)
 _FILL_XOR, _FILL_MUL = _column(_A[0:4]), _column(_A[1:5])
-_MIX_XOR = [_column(_A[4 + 3 * s : 7 + 3 * s]) for s in range(4)]
-_MIX_MUL = [_column(_A[5 + 3 * s : 8 + 3 * s]) for s in range(4)]
+_MIX_XOR = [_mix_column(4, s) for s in range(4)]
+_MIX_MUL = [_mix_column(5, s) for s in range(4)]
 _DRAW_XOR, _DRAW_MUL = _column(_B[0:8]), _column(_B[1:9])
 _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
@@ -377,7 +385,8 @@ def _pcg64_states(seeds: np.ndarray) -> list[tuple[int, int]]:
     batch at once as `uint32` array arithmetic, one array per pool word, then
     `pcg_setseq_128_srandom_r` on those words in Python ints. A seed is two
     32-bit words, low first; a seed below 2**32 is one, and pads the pool with
-    `hashmix(0)`, which is what its zero high word gives.
+    `hashmix(0)`, which is what its zero high word gives. Mixing round `src`
+    runs on all four pool rows in place and then puts row `src` back.
     """
     pool = np.zeros((4, len(seeds)), dtype=np.uint32)
     pool[0] = seeds & np.uint64(0xFFFFFFFF)
@@ -386,9 +395,13 @@ def _pcg64_states(seeds: np.ndarray) -> list[tuple[int, int]]:
     pool *= _FILL_MUL
     _xorshift(pool)
     for src in range(4):
-        dst = [d for d in range(4) if d != src]
-        hashed = _xorshift((pool[src] ^ _MIX_XOR[src]) * _MIX_MUL[src])
-        pool[dst] = _xorshift(_MIX_MULT_L * pool[dst] - _MIX_MULT_R * hashed)
+        word = pool[src].copy()
+        hashed = _xorshift((word ^ _MIX_XOR[src]) * _MIX_MUL[src])
+        hashed *= _MIX_MULT_R
+        pool *= _MIX_MULT_L
+        pool -= hashed
+        _xorshift(pool)
+        pool[src] = word
     words = np.concatenate([pool, pool]) ^ _DRAW_XOR
     words *= _DRAW_MUL
     words = _xorshift(words).astype(np.uint64)
@@ -410,8 +423,9 @@ class OfflineEmbeddingProvider(EmbeddingProvider):
     The vector of a term is `np.random.default_rng(s).standard_normal(dim)`
     divided by its norm, where `s` is the first 8 bytes of
     `sha256(f"{seed}:{term}")` read big-endian. A batch is seeded in one pass:
-    `_pcg64_states` gives every term's generator state at once, and each row is
-    drawn from one generator set to it.
+    `_pcg64_states` gives every term's generator state at once, each row is
+    drawn from one generator set to it, and the block is normalized in one
+    pass, bit for bit the per-row norm.
     """
 
     def __init__(
@@ -431,13 +445,16 @@ class OfflineEmbeddingProvider(EmbeddingProvider):
         prefixes = (hashlib.sha256(f"{self.seed}:{t}".encode("utf-8")).digest()[:8] for t in batch)
         seeds = np.frombuffer(b"".join(prefixes), dtype=">u8")
         bits = np.random.PCG64(0)
-        rng = np.random.Generator(bits)
+        normal = np.random.Generator(bits).standard_normal
         block = np.empty((len(batch), self.dimension))
-        for (state, inc), row in zip(_pcg64_states(seeds), block):
-            pcg = {"state": state, "inc": inc}
-            bits.state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
-            rng.standard_normal(out=row)
-            row /= math.sqrt(row.dot(row))  # the float np.linalg.norm(row) gives
+        pcg: dict[str, int] = {}
+        state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+        for (pcg["state"], pcg["inc"]), row in zip(_pcg64_states(seeds), block):
+            bits.state = state
+            normal(out=row)
+        # Each row's `row @ row` is `row.dot(row)` (numpy's dot loop), so its square root is
+        # the float `np.linalg.norm(row)` gives.
+        block /= np.sqrt(block[:, None, :] @ block[:, :, None])[:, 0]
         return block
 
 

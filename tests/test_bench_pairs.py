@@ -1,6 +1,6 @@
 """tools/bench_pairs.py: the summary of canned result lines, the refusal of a
-run that failed, was not checked or was slowed by other load, and a whole run
-over two stand-in checkouts."""
+run that failed, was not checked or was slowed by other load, a whole run
+over two stand-in checkouts, and a pair run again after a disturbed run."""
 
 import importlib.util
 import json
@@ -160,5 +160,43 @@ def test_a_run_slowed_by_other_load_stops_the_tool(tmp_path):
     argv = ["--parent", str(parent), "--change", str(change), "--workload", "w", "--metric", "setup_s",
             "--claim", "c", "--seeds", "2", "--seconds", "1"]
     with pytest.raises(SystemExit, match="parent seed 1: other load slowed the run"):
+        bench_pairs.main(argv)
+    assert not (change / "BENCH_w.json").exists()
+
+
+def disturbed_once(path, setups):
+    """A stand-in checkout whose first run reports a disturbed speed probe and every later run a quiet one."""
+    checkout(path, setups)
+    run = path / "perfbench" / "run.py"
+    quiet_line = f'print("# probe_s: {QUIET_PROBES[0]}")'
+    flaky_line = (
+        f"import pathlib\nflag = pathlib.Path({str(path / 'disturbed')!r})\n"
+        f'print("# probe_s: " + ({QUIET_PROBES[0]!r} if flag.exists() else {DISTURBED_PROBE!r}))\nflag.touch()'
+    )
+    run.write_text(run.read_text(encoding="utf-8").replace(quiet_line, flaky_line), encoding="utf-8")
+    return path
+
+
+def test_a_pair_with_a_disturbed_run_is_run_again(tmp_path, capsys):
+    parent, change = disturbed_once(tmp_path / "parent", PARENT[:4]), checkout(tmp_path / "change", CHANGE[:4])
+    argv = ["--parent", str(parent), "--change", str(change), "--workload", "w", "--metric", "setup_s",
+            "--claim", "c", "--seeds", "4", "--seconds", "1"]
+    assert bench_pairs.main(argv) == 0
+    bench = json.loads((change / "BENCH_w.json").read_text(encoding="utf-8"))
+    assert [(p["seed"], p["first"]) for p in bench["pairs"]] == [(1, "parent"), (2, "change"), (3, "parent"), (4, "change")]
+    assert [p["parent"]["metrics"]["setup_s"]["value"] for p in bench["pairs"]] == PARENT[:4]
+    lines = capsys.readouterr().out.splitlines()
+    # Seed 1's parent run was disturbed: nothing of it is printed, the change has not run, and the pair runs again.
+    assert lines[0].startswith(f"seed 1: running the pair again, attempt 2 of 3: {parent} seed 1: other load slowed the run")
+    assert lines[1:3] == ["seed 1 parent: setup_s 0.4", "seed 1 change: setup_s 0.3"]
+    assert sum("running the pair again" in line for line in lines) == 1
+
+
+def test_a_run_refused_for_its_outputs_stops_the_tool_even_after_a_rerun(tmp_path):
+    parent = disturbed_once(tmp_path / "parent", PARENT[:2])
+    change = checkout(tmp_path / "change", CHANGE[:2], expected="none stored for this seed")
+    argv = ["--parent", str(parent), "--change", str(change), "--workload", "w", "--metric", "setup_s",
+            "--claim", "c", "--seeds", "2", "--seconds", "1"]
+    with pytest.raises(SystemExit, match="change seed 1: the run's outputs were not checked"):
         bench_pairs.main(argv)
     assert not (change / "BENCH_w.json").exists()

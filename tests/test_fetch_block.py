@@ -2,7 +2,8 @@
 
 The offline provider's rows are bit for bit the vectors `oracles.reference_offline_vector`
 builds one term at a time, and the cache lines written from a block are byte for byte
-`json.dumps({"term", "dim", "f64"})`, one per fetched term in fetch order.
+`json.dumps({"term", "dim", "f64"})`, one per fetched term in fetch order: for batches of
+up to 12 drawn terms, and for a whole default batch of 64 terms and a 1-term batch.
 """
 
 import base64
@@ -58,6 +59,25 @@ def test_offline_rows_are_the_per_term_vectors_bit_for_bit(terms, seed, dim, bat
         want = bits(reference_offline_vector(seed, term, dim))
         assert row.astype("<f8").tobytes() == want
         assert bits(vectors[term].values) == want
+
+
+WHOLE_BATCH_TERMS = [f"term {i}" for i in range(60)] + ['say "hi"', "café", "日本語", "emoji 🦇", "x" * 300]
+
+
+@pytest.mark.parametrize("seed", [0, 2**63 + 5])
+@pytest.mark.parametrize("dim", [1, 3, 8, 64, 130])
+def test_a_whole_default_batch_and_a_one_term_batch_are_the_per_term_vectors(tmp_path, dim, seed):
+    path = tmp_path / "vectors.jsonl"
+    provider = Recording(dimension=dim, seed=seed, cache=VectorCache(path))
+    vectors = provider.embed_terms(WHOLE_BATCH_TERMS)
+    assert [len(batch) for batch in provider.batches] == [64, 1]
+    want = {t: reference_offline_vector(seed, t, dim) for t in WHOLE_BATCH_TERMS}
+    for batch in provider.batches:
+        block = OfflineEmbeddingProvider(dimension=dim, seed=seed)._fetch(batch)
+        assert block.astype("<f8").tobytes() == b"".join(bits(want[t]) for t in batch)
+    fetched = [t for batch in provider.batches for t in batch]
+    assert path.read_text(encoding="utf-8") == "".join(json_line(t, want[t]) for t in fetched)
+    assert all(bits(vectors[t].values) == bits(want[t]) for t in WHOLE_BATCH_TERMS)
 
 
 ODD_TERMS = ['say "hi"', "back\\slash", "tab\tnew\nline\x00\x1f\x7f", "café", "日本語", "emoji 🦇", "lone \ud800"]

@@ -8,7 +8,9 @@ dimension than its cache is refused when it is made, and a fetched block of
 another dimension never reaches the file: the provider stays at its table's
 dimension, so a refused reply fails only its own record. A cached zero vector
 fails only the requests that pair it, with `ZeroVector`. Views taken before a
-writer grows the rows gather the same matrix while it does.
+writer grows the rows gather the same matrix while it does. The norms stored
+with the rows are the bytes of `np.linalg.norm(block, axis=1)`, for rows whose
+squares overflow, subnormal rows and rows holding inf or nan.
 """
 
 import json
@@ -30,6 +32,7 @@ from ragmark.embeddings import (
     RemoteEmbeddingProvider,
     TermVector,
     VectorCache,
+    VectorTable,
 )
 from ragmark.errors import DimensionMismatch, RagmarkError, ZeroVector
 from ragmark.evaluation import EvalRecord, PipelineHandles, RunSetting, run_setting
@@ -298,3 +301,34 @@ def test_held_views_gather_the_reference_matrix_while_a_writer_grows_the_rows():
     assert provider.table.view(words[:1]).gather(words[:1])[0].shape == (1024, 16)
     assert all(len(results) >= 10 for results in gathered.values()), {r: len(v) for r, v in gathered.items()}
     assert [ok for results in gathered.values() for ok in results if ok is not True] == []
+
+
+def test_stored_norms_are_the_bytes_of_linalg_norm_while_the_table_grows():
+    rng = np.random.default_rng(11)
+    nan_with_payload = np.frombuffer(b"\x01\x00\x00\x00\x00\x00\xf8\xff", dtype="<f8")[0]
+    odd = np.array([
+        [np.inf, 1.0, 0.0, 2.0, 0.0, 0.0, 0.0, 0.0],
+        [np.nan, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [-np.inf, np.nan, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [nan_with_payload, -np.inf, 1e308, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [5e-324, -5e-324, 2.0**-1070, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [1e308, -1e308, 1e-300, 0.0, 0.0, 0.0, 0.0, 0.0],
+    ])
+    blocks = [
+        rng.standard_normal((5, 8)),
+        np.full((3, 8), 1e200),  # every square overflows
+        rng.standard_normal((20, 8)) * 1e-315,  # subnormal values
+        odd,
+        rng.standard_normal((40, 8)) * 10.0 ** rng.integers(-320, 308, size=(40, 1)),
+    ]
+    table, start, sizes = VectorTable(), 0, []
+    for i, block in enumerate(blocks):
+        table.put_rows([f"b{i} r{j}" for j in range(len(block))], block)
+        sizes.append(len(table.arrays[1]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = np.linalg.norm(block, axis=1)
+        assert table.arrays[1][start : start + len(block)].tobytes() == want.tobytes()
+        start += len(block)
+    assert sizes == [16, 16, 32, 64, 128]  # the table grew three times, copying the norms stored before
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert table.arrays[1][:start].tobytes() == np.linalg.norm(np.concatenate(blocks), axis=1).tobytes()

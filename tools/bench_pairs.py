@@ -9,10 +9,12 @@ separate copies. For each seed 1..N it runs
     python3 perfbench/run.py --workload W --seed S --seconds N --trace 0
 
 in both checkouts, one after the other: odd seeds parent first, even seeds
-change first. A run that is not `correct`, has a failed record, has no
-stored expected values for its seed or was slowed by other load (its
-median speed probe more than MAX_PROBE_SPREAD times its fastest) stops the
-tool. It prints every end-to-end metric's medians, quartiles and the number
+change first. A run that is not `correct`, has a failed record or has no
+stored expected values for its seed stops the tool. A run slowed by other
+load (its median speed probe more than MAX_PROBE_SPREAD times its fastest)
+makes the tool print why and run that seed's pair again, both sides in the
+same order, up to ATTEMPTS times in all; a third disturbed attempt stops
+it. It prints every end-to-end metric's medians, quartiles and the number
 of pairs in which the change is better (ties count for neither side), and
 writes the claimed metric's summary and every pair to `BENCH_<workload>.json`
 in the change checkout. Standard library only.
@@ -26,6 +28,7 @@ import re
 import statistics
 import subprocess
 import sys
+from itertools import count
 from pathlib import Path
 
 
@@ -75,6 +78,32 @@ def disturbance(info: dict) -> str | None:
             f"its fastest, more than {MAX_PROBE_SPREAD}x ({info['probe_s']})"
         )
     return None
+
+
+# Attempts at one seed's pair. Other load comes and goes, so a disturbed run is run
+# again rather than thrown away with every pair measured before it; a machine that
+# is busy for three attempts in a row is busy for the whole measurement.
+ATTEMPTS = 3
+
+
+def run_pair(checkouts: dict[str, Path], workload: str, seed: int, seconds: float, metric: str) -> tuple[dict, dict]:
+    """(pair, last run info) of `seed`: both sides, odd seeds parent first, the pair run again
+    while a run is disturbed; exits on a refused run or on the last attempt's disturbed run."""
+    order = ("parent", "change") if seed % 2 else ("change", "parent")
+    for attempt in count(1):
+        pair: dict = {"seed": seed, "first": order[0]}
+        for side in order:
+            pair[side], info = run_once(checkouts[side], workload, seed, seconds)
+            problem = disturbance(info)
+            if problem:
+                break
+            print(f"seed {seed} {side}: {metric} {value(pair[side], metric):.6g}", flush=True)
+        else:
+            return {key: pair[key] for key in ("seed", "first", "parent", "change")}, info
+        where = f"{checkouts[side]} seed {seed}"
+        if attempt == ATTEMPTS:
+            raise SystemExit(f"error: {where}: {problem}")
+        print(f"seed {seed}: running the pair again, attempt {attempt + 1} of {ATTEMPTS}: {where}: {problem}", flush=True)
 
 
 def value(side: dict, metric: str) -> float:
@@ -133,17 +162,11 @@ def main(argv: list[str] | None = None) -> int:
     if args.metric not in better:
         parser.error(f"--metric must be one of {sorted(better)}")
 
+    checkouts = {"parent": args.parent, "change": args.change}
     pairs, info = [], {}
     for seed in range(1, args.seeds + 1):
-        order = ("parent", "change") if seed % 2 else ("change", "parent")
-        pair: dict = {"seed": seed, "first": order[0]}
-        for side in order:
-            pair[side], info = run_once(getattr(args, side), args.workload, seed, args.seconds)
-            problem = disturbance(info)
-            if problem:
-                raise SystemExit(f"error: {getattr(args, side)} seed {seed}: {problem}")
-            print(f"seed {seed} {side}: {args.metric} {value(pair[side], args.metric):.6g}", flush=True)
-        pairs.append({key: pair[key] for key in ("seed", "first", "parent", "change")})
+        pair, info = run_pair(checkouts, args.workload, seed, args.seconds, args.metric)
+        pairs.append(pair)
 
     print("\n".join(report(pairs, end_to_end)))
     seconds = f"{args.seconds:g}"
