@@ -223,8 +223,8 @@ class MaxSimScorer:
 
 def request_surfaces(queries: Iterable[Sequence[Term]], pool: Sequence[SentenceSpan]) -> set[str]:
     """The terms a request embeds and scores: the query terms plus, because later hops re-query
-    with selected evidence terms, the pool's content terms; none when every query is empty."""
-    surfaces = {t.surface for terms in queries for t in terms}
+    with selected evidence terms, the pool's content terms; none when every query or the pool is empty."""
+    surfaces = {t.surface for terms in queries for t in terms} if pool else set()
     if surfaces:
         surfaces.update(*(span.content for span in pool))
     return surfaces

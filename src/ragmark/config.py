@@ -38,14 +38,6 @@ class RunConfig(RunSetting):
     qa_model: str = "recorded"
     llm_endpoint: str | None = None
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        optional = ("kb_path", "dataset_path", "results_path", "reply_cache_path", "llm_endpoint")
-        for name in ("output_dir", "stepback_model", "qa_model", *optional):
-            value = getattr(self, name)
-            if not isinstance(value, str) and not (value is None and name in optional):
-                raise ValueError(f"config field {name!r} must be a string; got {value!r}")
-
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
 

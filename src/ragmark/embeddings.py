@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequenc
 import numpy as np
 
 from .errors import DimensionMismatch, MissingVector, RemoteUnavailable, ZeroVector
-from .jsonl import KeyedJsonl, decode_line
+from .jsonl import KeyedJsonl, check_field_types, decode_line
 from .remote import post_with_retries
 
 if TYPE_CHECKING:
@@ -80,14 +80,11 @@ class ProviderConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if self.kind not in ("remote", "deterministic-offline"):
             raise ValueError(f"unknown provider kind {self.kind!r}")
         if (self.kind == "remote") != (self.endpoint is not None):
             raise ValueError("endpoint must be present iff kind is remote")
-        if any(type(v) is not int for v in (self.dimension, self.batch_size, self.seed)):
-            raise ValueError("dimension, batch_size and seed must be integers")
-        if not isinstance(self.model_name, str) or {type(self.endpoint), type(self.cache_path)} - {str, type(None)}:
-            raise ValueError("model_name must be a string, and endpoint and cache_path strings or null")
         if self.dimension < 1 or self.batch_size < 1:
             raise ValueError(f"dimension and batch_size must be at least 1, not {self.dimension} and {self.batch_size}")
 

@@ -26,8 +26,8 @@ from .errors import (
     RagmarkError,
     UnknownTemplate,
 )
-from .highlight import HighlightedDocument
-from .jsonl import TEXT, as_text, read_records, require
+from . import highlight, pipeline
+from .jsonl import TEXT, as_text, check_field_types, read_records, require
 from .retriever import RetrieverParams
 from .stepback import ChatClient
 
@@ -57,16 +57,15 @@ class RunSetting:
     model_family: str = "mistral"
 
     def __post_init__(self) -> None:
+        check_field_types(self)  # every field of a `RunConfig` too
         if self.retrieval not in ("none", "precomputed-dense", "bm25"):
             raise ValueError(f"unknown retrieval mode {self.retrieval!r}")
         if self.context_mode not in ("full", "evidence-only"):
             raise ValueError(f"unknown context mode {self.context_mode!r}")
         if not self.highlighting and self.context_mode == "evidence-only":
             raise ValueError("evidence-only context requires highlighting")
-        if type(self.highlighting) is not bool or type(self.stepback) is not bool:
-            raise ValueError("highlighting and stepback must be true or false")
-        if self.top_k is not None and (type(self.top_k) is not int or self.top_k < 1):  # a bool is not an int here
-            raise ValueError(f"top_k must be an integer of at least 1, or null for every passage; got {self.top_k!r}")
+        if self.top_k is not None and self.top_k < 1:
+            raise ValueError(f"top_k must be at least 1, or null for every passage; got {self.top_k!r}")
         if self.model_family not in _TEMPLATES:
             raise ValueError(f"unknown model family {self.model_family!r}; expected one of {tuple(_TEMPLATES)}")
 
@@ -209,7 +208,7 @@ _TEMPLATES: dict[str, dict[str, tuple[str, str]]] = {
 
 def build_prompt(
     record: EvalRecord,
-    context: HighlightedDocument | str | None,
+    context: highlight.HighlightedDocument | str | None,
     model_family: str,
 ) -> str:
     """Render the task prompt for a model family.
@@ -222,7 +221,7 @@ def build_prompt(
         raise UnknownTemplate(f"no template for model family {model_family!r}")
     if record.task not in TASKS:
         raise UnknownTemplate(f"no template for task {record.task!r}")
-    if isinstance(context, HighlightedDocument):
+    if isinstance(context, highlight.HighlightedDocument):
         documents = context.rendered()
     else:
         documents = context
@@ -287,10 +286,6 @@ class PipelineHandles:
 def _evaluate_record(
     record: EvalRecord, setting: RunSetting, handles: PipelineHandles
 ) -> RecordOutcome:
-    from .highlight import evidence_only as render_evidence_only
-    from .highlight import highlight as tag_passages
-    from .pipeline import select_evidence
-
     try:
         if setting.retrieval == "none":
             context = None
@@ -303,7 +298,7 @@ def _evaluate_record(
                     raise MissingResults(f"no precomputed results for query id {record.query_id!r}")
                 passages = passages[: setting.top_k]
             if setting.highlighting:
-                result = select_evidence(
+                result = pipeline.select_evidence(
                     record.question,
                     passages,
                     handles.embedding_provider,
@@ -312,11 +307,11 @@ def _evaluate_record(
                     choices=record.choices,
                 )
                 if setting.context_mode == "evidence-only":
-                    context = render_evidence_only(passages, list(result.evidence))
+                    context = highlight.evidence_only(passages, list(result.evidence))
                 else:
                     context = result.document
             else:
-                context = tag_passages(passages, [])
+                context = highlight.highlight(passages, [])
         prompt = build_prompt(record, context, setting.model_family)
         generation = handles.qa_client.complete(prompt)
         return RecordOutcome(

@@ -3,6 +3,7 @@ append-only keyed store for the caches."""
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 import os
@@ -130,6 +131,23 @@ def as_text(value: Any, field: str, line_no: int) -> str:
 def _mistyped(field: str, value: Any, line_no: int, kind: type | tuple[type, ...]) -> MalformedRecord:
     what = f"text, not {json.dumps(value)[:40]}" if kind is TEXT else f"a {kind.__name__}"
     return MalformedRecord(f"line {line_no}: field {field!r} must be {what}", line_no)
+
+
+# A config field's declared type -> (the types its value may have, their name in a message).
+_FIELD_TYPES = {"str": ((str,), "a string"), "bool": ((bool,), "true or false"),
+                "int": ((int,), "an integer"), "float": ((int, float), "a number")}
+
+
+def check_field_types(obj: Any) -> None:
+    """`ValueError` naming the first field of the dataclass `obj` whose value is not its declared
+    `str`, `bool`, `int` or `float`: an int is a float, a bool is neither, None is only an `X | None`.
+    A field of any other type is a nested section, which checks itself."""
+    for f in dataclasses.fields(obj):
+        declared, _, optional = f.type.partition(" | ")
+        kinds, what = _FIELD_TYPES.get(declared, (None, ""))
+        value = getattr(obj, f.name)
+        if kinds and type(value) not in kinds and not (value is None and optional):
+            raise ValueError(f"{f.name} must be {what}{' or null' if optional else ''}, not {value!r}")
 
 
 class KeyedJsonl:

@@ -60,16 +60,17 @@ def select_evidence(
 ) -> EvidenceResult:
     """Run the full selection pipeline over already-retrieved passages.
 
-    All queries of the request share one MaxSim scorer over the pool.
+    All queries share one MaxSim scorer over the pool; a request that embeds nothing (every
+    query or the pool is empty) runs no chain and gives the untagged passages.
     """
     queries = build_queries(question, choices, stepback_client)
     pool = sentence_pool(passages)
     vectors = gather_vectors(queries, pool, provider)
-    query_terms = [q.terms for q in queries if q.terms]
-    scorer = MaxSimScorer(pool, vectors, vectors)  # the rows `for_queries` gives, sorted already
     chains: list[EvidenceChain] = []
-    for terms in query_terms:
-        chains.extend(retrieve_parallel_chains(terms, pool, vectors, params, scorer=scorer))
+    if vectors:
+        scorer = MaxSimScorer(pool, vectors, vectors)  # the rows `for_queries` gives, sorted already
+        for terms in (q.terms for q in queries if q.terms):
+            chains.extend(retrieve_parallel_chains(terms, pool, vectors, params, scorer=scorer))
     evidence = collect_evidence(chains, pool)
     document = highlight(passages, list(evidence))
     return EvidenceResult(

@@ -22,6 +22,7 @@ import numpy as np
 from .alignment import AlignmentScore, MaxSimScorer, align_score, coverage  # noqa: F401
 from .embeddings import TermVector
 from .errors import EmptyCandidatePool
+from .jsonl import check_field_types
 from .text import SentenceSpan, Term
 
 
@@ -33,10 +34,7 @@ class RetrieverParams:
     t_ambiguity: int = 4
 
     def __post_init__(self) -> None:
-        if any(type(v) is not int for v in (self.n_parallel, self.k_max_hops, self.t_ambiguity)):
-            raise ValueError("n_parallel, k_max_hops and t_ambiguity must be integers")
-        if type(self.m_threshold) not in (int, float):
-            raise ValueError(f"m_threshold must be a number, not {self.m_threshold!r}")
+        check_field_types(self)
         if self.n_parallel < 1 or self.k_max_hops < 1:
             raise ValueError("n_parallel and k_max_hops must be positive")
         if self.t_ambiguity < 0:

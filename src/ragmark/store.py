@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DuplicateId, EmptyIndex, MalformedRecord
-from .jsonl import TEXT, as_text, read_records, require
+from .jsonl import TEXT, as_text, check_field_types, read_records, require
 from .text import STOPWORDS, SentenceSpan, extract_terms, split_sentences, word_surfaces
 
 
@@ -40,9 +40,7 @@ class Bm25Params:
     b: float = 0.75
 
     def __post_init__(self) -> None:
-        for name, value in (("k1", self.k1), ("b", self.b)):
-            if type(value) not in (int, float):
-                raise ValueError(f"{name} must be a number, not {value!r}")
+        check_field_types(self)
         if self.k1 < 0 or not 0.0 <= self.b <= 1.0:
             raise ValueError("require k1 >= 0 and 0 <= b <= 1")
 

@@ -5,8 +5,11 @@ exist, and a traced call must give what an untraced one gives."""
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 import ragmark.pipeline as pipeline
 from ragmark.embeddings import OfflineEmbeddingProvider
+from ragmark.evaluation import EvalRecord, PipelineHandles, RunSetting, run_setting
 from ragmark.stepback import StubChatClient
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -54,3 +57,25 @@ def test_traced_mcq_with_stepback_equals_untraced(arid_passage):
     assert len(traced.queries) == len(choices)
     calls, _, _, _ = tracer.totals()
     assert calls["stepback.expand_query"] == 1
+
+
+@pytest.mark.parametrize("highlighting", [True, False])
+def test_traced_run_setting_equals_untraced(arid_passage, highlighting):
+    """`_evaluate_record` calls the stages through their modules, so the tracer's patches see them."""
+    record = EvalRecord("q0", "factoid", QUESTION, frozenset({"night"}))
+
+    def run():
+        handles = PipelineHandles(
+            qa_client=StubChatClient("at night"), embedding_provider=OfflineEmbeddingProvider(),
+            precomputed={"q0": [arid_passage]},
+        )
+        return run_setting([record], RunSetting(highlighting=highlighting, stepback=False), handles)
+
+    untraced = run()
+    tracer = load_tracing().Tracer()
+    with tracer.install():
+        traced = run()
+    assert traced == untraced
+    calls, _, _, _ = tracer.totals()
+    assert calls["pipeline.select_evidence"] == int(highlighting)
+    assert calls["highlight.highlight"] == calls["evaluation.build_prompt"] == 1
