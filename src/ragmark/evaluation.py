@@ -272,7 +272,11 @@ def inclusion_match(generation: str, gold: Sequence[str] | frozenset[str]) -> bo
 
 @dataclass
 class PipelineHandles:
-    """Everything a run needs: clients, provider, retrieval sources, params."""
+    """Everything a run needs: clients, provider, retrieval sources, params.
+
+    `max_workers` is at least 1. At 1, `run_setting` evaluates the records in the
+    calling thread in record order, so a bug stops the run at its record; more run on a pool.
+    """
 
     qa_client: ChatClient
     embedding_provider: EmbeddingProvider | None = None
@@ -281,6 +285,11 @@ class PipelineHandles:
     bm25_index: Bm25Index | None = None
     precomputed: dict[str, list] | None = None
     max_workers: int = 4
+
+    def __post_init__(self) -> None:
+        check_field_types(self)
+        if self.max_workers < 1:
+            raise ValueError(f"max_workers must be at least 1, not {self.max_workers!r}")
 
 
 def _evaluate_record(
@@ -336,9 +345,10 @@ def run_setting(
     Given the `baseline_accuracy` of a prior run, the report also holds the
     relative change against it.
 
-    Any other exception propagates. A retrieval source or an embedding
-    provider the setting needs and `handles` lacks raises a `MissingSource`
-    before any record runs.
+    Any other exception propagates (with one worker, from its record, before
+    any later record runs). A retrieval source or an embedding provider the
+    setting needs and `handles` lacks raises a `MissingSource` before any
+    record runs.
     """
     if setting.retrieval == "bm25" and handles.bm25_index is None:
         raise MissingBm25Index("bm25 retrieval needs a BM25 index (kb_path)")
@@ -346,8 +356,11 @@ def run_setting(
         raise MissingPrecomputedResults("precomputed-dense retrieval needs precomputed results (results_path)")
     if setting.highlighting and setting.retrieval != "none" and handles.embedding_provider is None:
         raise MissingEmbeddingProvider("highlighting needs an embedding provider")
-    with ThreadPoolExecutor(max_workers=handles.max_workers) as pool:
-        outcomes = list(pool.map(lambda r: _evaluate_record(r, setting, handles), records))
+    if handles.max_workers == 1:  # the same loop as a one-thread pool, without handing each record over
+        outcomes = [_evaluate_record(r, setting, handles) for r in records]
+    else:
+        with ThreadPoolExecutor(max_workers=handles.max_workers) as pool:
+            outcomes = list(pool.map(lambda r: _evaluate_record(r, setting, handles), records))
     outcomes.sort(key=lambda o: o.query_id)
     accuracy = 100.0 * sum(o.correct for o in outcomes) / len(outcomes) if outcomes else 0.0
     return RunReport(

@@ -141,11 +141,17 @@ _FIELD_TYPES = {"str": ((str,), "a string"), "bool": ((bool,), "true or false"),
 def check_field_types(obj: Any) -> None:
     """`ValueError` naming the first field of the dataclass `obj` whose value is not its declared
     `str`, `bool`, `int` or `float`: an int is a float, a bool is neither, None is only an `X | None`.
-    A field of any other type is a nested section, which checks itself."""
+    A field whose default factory is a class (a nested section) must hold an instance of it, which
+    checked its own fields when it was made; a field of any other type is not checked."""
     for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        section = f.default_factory
+        if isinstance(section, type):
+            if not isinstance(value, section):
+                raise ValueError(f"{f.name} must be a {section.__name__}, not {value!r}")
+            continue
         declared, _, optional = f.type.partition(" | ")
         kinds, what = _FIELD_TYPES.get(declared, (None, ""))
-        value = getattr(obj, f.name)
         if kinds and type(value) not in kinds and not (value is None and optional):
             raise ValueError(f"{f.name} must be {what}{' or null' if optional else ''}, not {value!r}")
 

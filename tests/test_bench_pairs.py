@@ -1,6 +1,7 @@
 """tools/bench_pairs.py: the summary of canned result lines, the refusal of a
 run that failed, was not checked or was slowed by other load, a whole run
-over two stand-in checkouts, and a pair run again after a disturbed run."""
+over two stand-in checkouts with each side's `outside_records_s`, and a pair
+run again after a disturbed run."""
 
 import importlib.util
 import json
@@ -104,14 +105,20 @@ print("# python: 3.11.7")
 print("# numpy: 2.0.0")
 print("# expected_values: {expected}")
 print("# probe_s: {probe}")
+{outside_line}
 print(json.dumps({{"correct": True, "attempted": 10, "failed": {failed}, "metrics": {{
     "setup_s": {{"value": setup, "unit": "s"}}, "records_per_s": {{"value": 100.0, "unit": "1/s"}}}}}}))
 """
 
 
-def checkout(path, setups, failed=0, expected="checked", probe=QUIET_PROBES[0]):
+# The stand-in's `outside_records_s` per seed; `outsides=None` leaves the info line out.
+OUTSIDES = [0.0046, 0.0044, 0.0048, 0.0045]
+
+
+def checkout(path, setups, failed=0, expected="checked", probe=QUIET_PROBES[0], outsides=OUTSIDES):
     (path / "perfbench").mkdir(parents=True)
-    run = FAKE_RUN.format(setups=setups, failed=failed, expected=expected, probe=probe)
+    outside_line = "" if outsides is None else f'print("# outside_records_s:", {outsides}[seed - 1])'
+    run = FAKE_RUN.format(setups=setups, failed=failed, expected=expected, probe=probe, outside_line=outside_line)
     (path / "perfbench" / "run.py").write_text(run, encoding="utf-8")
     benchmark = {"end_to_end": [{"name": "records_per_s", "better": "higher"}, {"name": "setup_s", "better": "lower"}]}
     (path / "BENCHMARK.json").write_text(json.dumps(benchmark), encoding="utf-8")
@@ -133,6 +140,33 @@ def test_a_whole_run_writes_the_committed_format(tmp_path, capsys):
     assert [list(p) for p in bench["pairs"]] == [["seed", "first", "parent", "change"]] * 4
     out = capsys.readouterr().out
     assert "records_per_s (higher is better)" in out and "setup_s (lower is better)" in out
+
+
+def test_each_run_keeps_its_outside_records_s_and_each_side_prints_its_median(tmp_path, capsys):
+    parent = checkout(tmp_path / "parent", PARENT[:4])
+    change = checkout(tmp_path / "change", CHANGE[:4], outsides=[0.0005, 0.0004, 0.0006, 0.0004])
+    argv = ["--parent", str(parent), "--change", str(change), "--workload", "w", "--metric", "setup_s",
+            "--claim", "c", "--seeds", "4", "--seconds", "1"]
+    assert bench_pairs.main(argv) == 0
+    bench = json.loads((change / "BENCH_w.json").read_text(encoding="utf-8"))
+    assert [p["parent"]["outside_records_s"] for p in bench["pairs"]] == OUTSIDES
+    assert [p["change"]["outside_records_s"] for p in bench["pairs"]] == [0.0005, 0.0004, 0.0006, 0.0004]
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-3].startswith("setup_s (lower is better): ")  # after the metric lines, before the file's name
+    assert lines[-2] == "outside_records_s (median per round outside the records): parent 0.00455, change 0.00045"
+    assert lines[-1].startswith("wrote ")
+
+
+def test_a_run_whose_info_lacks_outside_records_s_reads_n_a(tmp_path, capsys):
+    parent, change = checkout(tmp_path / "parent", PARENT[:2]), checkout(tmp_path / "change", CHANGE[:2], outsides=None)
+    argv = ["--parent", str(parent), "--change", str(change), "--workload", "w", "--metric", "setup_s",
+            "--claim", "c", "--seeds", "2", "--seconds", "1"]
+    assert bench_pairs.main(argv) == 0
+    bench = json.loads((change / "BENCH_w.json").read_text(encoding="utf-8"))
+    assert [p["change"]["outside_records_s"] for p in bench["pairs"]] == [None, None]
+    assert [p["parent"]["outside_records_s"] for p in bench["pairs"]] == OUTSIDES[:2]
+    out = capsys.readouterr().out
+    assert "outside_records_s (median per round outside the records): parent 0.0045, change n/a\n" in out
 
 
 def test_a_run_with_a_failed_record_stops_the_tool(tmp_path):

@@ -15,9 +15,12 @@ load (its median speed probe more than MAX_PROBE_SPREAD times its fastest)
 makes the tool print why and run that seed's pair again, both sides in the
 same order, up to ATTEMPTS times in all; a third disturbed attempt stops
 it. It prints every end-to-end metric's medians, quartiles and the number
-of pairs in which the change is better (ties count for neither side), and
-writes the claimed metric's summary and every pair to `BENCH_<workload>.json`
-in the change checkout. Standard library only.
+of pairs in which the change is better (ties count for neither side), then
+each side's median `outside_records_s` (the run info's time per round that
+`run_setting` spends around its records), and writes the claimed metric's
+summary and every pair to `BENCH_<workload>.json` in the change checkout; each
+run in a pair keeps its `outside_records_s`, null when its info lacks it.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -86,6 +89,9 @@ def disturbance(info: dict) -> str | None:
 ATTEMPTS = 3
 
 
+OUTSIDE = "outside_records_s"  # run info: run_setting's own time per round, around its records
+
+
 def run_pair(checkouts: dict[str, Path], workload: str, seed: int, seconds: float, metric: str) -> tuple[dict, dict]:
     """(pair, last run info) of `seed`: both sides, odd seeds parent first, the pair run again
     while a run is disturbed; exits on a refused run or on the last attempt's disturbed run."""
@@ -94,6 +100,7 @@ def run_pair(checkouts: dict[str, Path], workload: str, seed: int, seconds: floa
         pair: dict = {"seed": seed, "first": order[0]}
         for side in order:
             pair[side], info = run_once(checkouts[side], workload, seed, seconds)
+            pair[side][OUTSIDE] = float(info[OUTSIDE]) if OUTSIDE in info else None
             problem = disturbance(info)
             if problem:
                 break
@@ -142,6 +149,15 @@ def report(pairs: list[dict], end_to_end: list[dict]) -> list[str]:
     return out
 
 
+def outside_report(pairs: list[dict]) -> str:
+    """Each side's median `outside_records_s`, or n/a for a side with a run whose info lacked it."""
+    medians = []
+    for side in ("parent", "change"):
+        values = [p[side][OUTSIDE] for p in pairs]
+        medians.append(f"{side} n/a" if None in values else f"{side} {statistics.median(values):.6g}")
+    return f"{OUTSIDE} (median per round outside the records): {', '.join(medians)}"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
@@ -168,7 +184,7 @@ def main(argv: list[str] | None = None) -> int:
         pair, info = run_pair(checkouts, args.workload, seed, args.seconds, args.metric)
         pairs.append(pair)
 
-    print("\n".join(report(pairs, end_to_end)))
+    print("\n".join([*report(pairs, end_to_end), outside_report(pairs)]))
     seconds = f"{args.seconds:g}"
     bench = {
         "claim": args.claim,
