@@ -24,13 +24,7 @@ from .evaluation import (
     topk_sweep,
 )
 from .pipeline import select_evidence
-from .stepback import (
-    CachingChatClient,
-    ChatClient,
-    HttpChatClient,
-    RecordedChatClient,
-    ReplyCache,
-)
+from .stepback import CachingChatClient, ChatClient, HttpChatClient, ReplyCache
 from .store import build_index, load_passages, load_precomputed_results
 
 EXIT_OK = 0
@@ -45,11 +39,13 @@ def _fail(message: str, code: int = EXIT_CONFIG_ERROR) -> NoReturn:
 
 @contextmanager
 def _exit_codes() -> Iterator[None]:
-    """A `MissingSource`, a missing input file or a vector cache of another dimension ends the command
-    as a config error, any other `RagmarkError` as a run error."""
+    """A `MissingSource`, a missing input file, a path of the wrong kind (a directory for a file, a file
+    for a directory) or a vector cache of another dimension ends the command as a config error, any other
+    `RagmarkError` as a run error."""
     try:
         yield
-    except (MissingSource, DimensionMismatch, FileNotFoundError) as exc:
+    except (MissingSource, DimensionMismatch, FileNotFoundError, IsADirectoryError, NotADirectoryError,
+            FileExistsError) as exc:
         _fail(f"config error: {exc}")
     except RagmarkError as exc:
         _fail(f"error: {exc}", EXIT_RUN_ERROR)
@@ -81,12 +77,9 @@ def _reply_cache(cfg: RunConfig) -> ReplyCache | None:
 
 
 def _chat_client(cfg: RunConfig, model_name: str, cache: ReplyCache | None) -> ChatClient | None:
-    if cfg.llm_endpoint:
-        client = HttpChatClient(cfg.llm_endpoint, model_name)
-        return CachingChatClient(client, cache) if cache is not None else client
-    if cache is not None:
-        return RecordedChatClient(cache, model_name=model_name)
-    return None
+    """The HTTP client of `llm_endpoint`, behind the reply cache when one is set; None with neither."""
+    client = HttpChatClient(cfg.llm_endpoint, model_name) if cfg.llm_endpoint else None
+    return CachingChatClient(client, cache, model_name) if cache is not None else client
 
 
 def _handles(cfg: RunConfig) -> PipelineHandles:

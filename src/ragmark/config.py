@@ -50,17 +50,16 @@ class RunConfig(RunSetting):
         if retired:
             print(f"note: ignoring retired config fields {', '.join(retired)}", file=sys.stderr)
         kwargs = {}
-        nested = {"retriever": RetrieverParams, "bm25": Bm25Params, "provider": ProviderConfig}
-        names = {f.name for f in fields(cls)}
+        factories = {f.name: f.default_factory for f in fields(cls)}  # a class for a nested section
         for key, value in data.items():
             if key in retired:
                 continue
-            if key not in names:
+            if key not in factories:
                 raise ValueError(f"unknown config field {key!r}")
-            if key in nested:
+            if isinstance(section := factories[key], type):
                 if not isinstance(value, dict):
                     raise ValueError(f"config field {key!r} must be an object")
-                value = nested[key](**value)
+                value = section(**value)
             kwargs[key] = value
         return cls(**kwargs)
 

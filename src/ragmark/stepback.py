@@ -5,8 +5,8 @@ for MCQs a second prompt extracts the concepts underlying each answer choice.
 The expanded pieces are conjoined with the original question into one term
 multiset that drives evidence retrieval.
 
-Clients: an HTTP chat client, a recorded-replay client for offline runs, and
-a write-through JSONL reply cache usable around either.
+Clients: an HTTP chat client, and a write-through JSONL reply cache around it
+or, for offline runs, around nothing, so that it only replays.
 """
 
 from __future__ import annotations
@@ -141,33 +141,25 @@ class ReplyCache:
 
 
 class CachingChatClient:
-    """Read-through reply cache around any chat client."""
+    """Read-through reply cache around a chat client, filed under the client's `model_name`.
 
-    def __init__(self, inner: ChatClient, cache: ReplyCache):
+    With no client (`inner=None`) it only replays the replies filed under `model_name`:
+    a prompt that was never recorded raises `LlmUnavailable` and writes nothing.
+    """
+
+    def __init__(self, inner: ChatClient | None, cache: ReplyCache, model_name: str = "recorded"):
         self.inner = inner
         self.cache = cache
-        self.model_name = inner.model_name
+        self.model_name = inner.model_name if inner is not None else model_name
 
     def complete(self, prompt: str) -> str:
         key = _prompt_hash(self.model_name, prompt)
         cached = self.cache.get(self.model_name, prompt, key)
         if cached is not None:
             return cached
+        if self.inner is None:
+            raise LlmUnavailable(f"no recorded reply for prompt hash {key}")
         return self.cache.put(self.model_name, prompt, self.inner.complete(prompt), key)
-
-
-class RecordedChatClient:
-    """Replays cached replies only; raises when a prompt was never recorded."""
-
-    def __init__(self, cache: ReplyCache, model_name: str = "recorded"):
-        self.cache = cache
-        self.model_name = model_name
-
-    def complete(self, prompt: str) -> str:
-        reply = self.cache.get(self.model_name, prompt)
-        if reply is None:
-            raise LlmUnavailable(f"no recorded reply for prompt hash {_prompt_hash(self.model_name, prompt)}")
-        return reply
 
 
 class StubChatClient:

@@ -18,7 +18,7 @@ from ragmark.cli import main
 from ragmark.config import RunConfig
 from ragmark.errors import MalformedRecord
 from ragmark.evaluation import EvalRecord, PipelineHandles, RunSetting, load_dataset, run_setting
-from ragmark.stepback import CachingChatClient, RecordedChatClient, ReplyCache, StubChatClient
+from ragmark.stepback import CachingChatClient, ReplyCache, StubChatClient
 from ragmark.store import Passage
 
 
@@ -87,7 +87,7 @@ class TestRecordErrors:
             run_setting(records, setting, handles)
 
     def test_a_package_error_inside_a_record_is_scored_wrong_and_kept(self, tmp_path):
-        records, handles = precomputed_handles(3, RecordedChatClient(ReplyCache(tmp_path / "replies.jsonl")))
+        records, handles = precomputed_handles(3, CachingChatClient(None, ReplyCache(tmp_path / "replies.jsonl")))
         report = run_setting(records, RunSetting(highlighting=False, stepback=False), handles)
         assert report.accuracy == 0.0
         assert all(o.error.startswith("LlmUnavailable: no recorded reply") for o in report.outcomes)
@@ -149,6 +149,19 @@ class FakeResponse:
 
     def json(self):
         return {"choices": [{"message": {"content": self.content}}]}
+
+
+def test_a_reply_cache_with_no_endpoint_gives_replaying_clients_keyed_by_their_models(tmp_path):
+    cfg = RunConfig(
+        retrieval="none", highlighting=False, stepback=True, reply_cache_path=str(tmp_path / "replies.jsonl"),
+        qa_model="qa-model", stepback_model="stepback-model",
+    )
+    handles = ragmark.cli._handles(cfg)
+    for client, model in ((handles.qa_client, "qa-model"), (handles.stepback_client, "stepback-model")):
+        assert isinstance(client, CachingChatClient)
+        assert client.inner is None and client.model_name == model
+    assert handles.qa_client.cache is handles.stepback_client.cache
+    assert not (tmp_path / "replies.jsonl").exists()
 
 
 def test_eval_over_an_endpoint_opens_one_reply_cache(runner, tmp_path, kb_file, monkeypatch):

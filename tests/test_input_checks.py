@@ -2,11 +2,13 @@
 
 A setting with an unknown model family, a provider with a dimension or batch
 size below 1, a config value of the wrong JSON type (a bool or text where a
-number belongs), a configured input file that does not exist and a vector
-cache of another dimension than its provider, or of two, are config errors:
-`eval` and `sweep` exit 2 and write no report, and so does `highlight`. A
-dataset gold answer that can never be matched, an MCQ gold label that is not
-one of the record's choices, an MCQ choice key that is a lower-case letter
+number belongs), a configured input file that does not exist, a path of the
+wrong kind (a directory where a file belongs, a path below a file, an output
+directory that is a file) and a vector cache of another dimension than its
+provider, or of two, are config errors: `eval` and `sweep` exit 2 and write
+no report, and so does `highlight` (and `index`, on a path of the wrong
+kind). A dataset gold answer that can never be matched, an MCQ gold label
+that is not one of the record's choices, an MCQ choice key that is a lower-case letter
 (the article "a" would match label a) and a repeated query id in the
 precomputed results are load errors that name their line: `eval` and `sweep`
 exit 1 on them and write no report. An argument out
@@ -224,6 +226,64 @@ def test_highlight_exits_2_on_a_vector_cache_of_another_dimension(tmp_path, dime
 def test_eval_and_sweep_exit_2_on_a_missing_input_file(tmp_path, command, field, retrieval):
     path = config_with(tmp_path, retrieval=retrieval, **{field: str(tmp_path / "missing.jsonl")})
     assert "missing.jsonl" in assert_config_error(tmp_path, command, path)
+
+
+@COMMANDS
+@pytest.mark.parametrize(
+    "where, message", [("adir", "Is a directory"), ("afile/in.jsonl", "Not a directory")],
+    ids=["a-directory", "below-a-file"],
+)
+@pytest.mark.parametrize(
+    "field, changes",
+    [
+        ("dataset_path", {}),
+        ("kb_path", {}),
+        ("results_path", {"retrieval": "precomputed-dense"}),
+        ("reply_cache_path", {}),
+        ("cache_path", {"highlighting": True}),
+    ],
+)
+def test_eval_and_sweep_exit_2_on_an_input_path_of_the_wrong_kind(tmp_path, command, where, message, field, changes):
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "afile").write_text("", encoding="utf-8")
+    value = str(tmp_path / where)
+    if field == "cache_path":  # a provider field
+        path = config_with(tmp_path, provider={"cache_path": value}, **changes)
+    else:
+        path = config_with(tmp_path, **{field: value}, **changes)
+    assert message in assert_config_error(tmp_path, command, path)
+
+
+@COMMANDS
+@pytest.mark.parametrize("below", [False, True], ids=["a-file", "below-a-file"])
+def test_eval_and_sweep_exit_2_on_an_output_dir_that_is_not_a_directory(tmp_path, command, below):
+    outfile = tmp_path / "outfile"
+    outfile.write_text("kept\n", encoding="utf-8")
+    path = config_with(tmp_path, output_dir=str(outfile / "run" if below else outfile))
+    output = assert_config_error(tmp_path, command, path)
+    assert ("Not a directory" if below else "File exists") in output
+    assert outfile.read_text(encoding="utf-8") == "kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "dataset.jsonl", "kb.jsonl", "outfile"]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["index", "--kb", "KB", "--out", "DIR"],
+        ["index", "--kb", "DIR", "--out", "OUT"],
+        ["highlight", "--query", "When do lions hunt?", "--kb", "KB", "--out", "DIR", "--no-stepback"],
+        ["highlight", "--query", "When do lions hunt?", "--kb", "DIR", "--out", "OUT", "--no-stepback"],
+    ],
+    ids=["index-out", "index-kb", "highlight-out", "highlight-kb"],
+)
+def test_index_and_highlight_exit_2_on_a_path_that_is_a_directory(tmp_path, args):
+    kb = write_jsonl(tmp_path / "kb.jsonl", KB)
+    (tmp_path / "adir").mkdir()
+    paths = {"KB": str(kb), "DIR": str(tmp_path / "adir"), "OUT": str(tmp_path / "out.json")}
+    result = CliRunner().invoke(main, [paths.get(a, a) for a in args])
+    assert result.exit_code == 2, result.output
+    assert "config error: " in result.output and "Is a directory" in result.output
+    assert not (tmp_path / "out.json").exists() and not any((tmp_path / "adir").iterdir())
 
 
 @pytest.mark.parametrize("text", ["[]", "null", '"bm25"'])

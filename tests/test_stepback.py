@@ -13,7 +13,6 @@ from ragmark.stepback import (
     CachingChatClient,
     ConjoinedQuery,
     HttpChatClient,
-    RecordedChatClient,
     ReplyCache,
     StubChatClient,
     conjoin,
@@ -236,7 +235,30 @@ class TestReplyCache:
     def test_recorded_client_replays_only(self, tmp_path):
         cache = ReplyCache(tmp_path / "r.jsonl")
         cache.put("recorded", "known prompt", "known reply")
-        client = RecordedChatClient(cache)
+        client = CachingChatClient(None, cache)
         assert client.complete("known prompt") == "known reply"
         with pytest.raises(LlmUnavailable):
             client.complete("unknown prompt")
+
+    def test_a_client_with_no_inner_client_replays_its_model_and_writes_nothing(self, tmp_path, monkeypatch):
+        hashed = []
+
+        def counting_hash(model, prompt):
+            hashed.append(prompt)
+            return stepback_hash(model, prompt)
+
+        path = tmp_path / "r.jsonl"
+        cache = ReplyCache(path)
+        cache.put("qa", "known prompt", "known reply")
+        filed = path.read_bytes()
+        monkeypatch.setattr(stepback, "_prompt_hash", counting_hash)
+        client = CachingChatClient(None, cache, "qa")
+        assert client.model_name == "qa"
+        assert client.complete("known prompt") == "known reply"
+        with pytest.raises(LlmUnavailable, match=f"^no recorded reply for prompt hash {stepback_hash('qa', 'p')}$"):
+            client.complete("p")
+        assert hashed == ["known prompt", "p"]  # one hash per call, a miss included
+        with pytest.raises(LlmUnavailable):  # filed under "qa", not the default "recorded"
+            CachingChatClient(None, cache).complete("known prompt")
+        assert path.read_bytes() == filed
+        assert ReplyCache(path).get("qa", "p") is None
