@@ -202,24 +202,6 @@ class MaxSimScorer:
             self._covers[key] = cover
         return cover
 
-    def coverage(
-        self, query_surfaces: Iterable[str], positions: Sequence[int], threshold: float
-    ) -> CoverageState:
-        """Partition query surfaces by the evidence at the given pool positions.
-
-        A surface is covered when the evidence contains it verbatim (cosine 1
-        > M for any M <= 1) or when its best cosine against an evidence
-        content term is strictly greater than `threshold`.
-        """
-        if not 0.0 < threshold <= 1.0:
-            raise ValueError("threshold must be in (0, 1]")
-        query = frozenset(query_surfaces)
-        covered = frozenset().union(*[self.cover(query, threshold, p) for p in positions])
-        unrowed = query.difference(self._row, covered)
-        if positions and unrowed:
-            raise ValueError(f"term {min(unrowed)!r} is not a row of this scorer")
-        return CoverageState(covered=covered, remainder=query - covered, threshold=threshold)
-
 
 def request_surfaces(queries: Iterable[Sequence[Term]], pool: Sequence[SentenceSpan]) -> set[str]:
     """The terms a request embeds and scores: the query terms plus, because later hops re-query
@@ -254,11 +236,14 @@ def coverage(
 ) -> CoverageState:
     """Partition unique query surfaces into covered / remainder.
 
-    A query term is covered iff its best cosine against the union of all
-    evidence content terms is strictly greater than `threshold`.
+    A query term is covered iff the evidence holds it verbatim or its best
+    cosine against the union of all evidence content terms is strictly greater
+    than `threshold`: the union of `MaxSimScorer.cover` over the evidence, as a
+    chain takes it, from a scorer whose rows are the surfaces not held verbatim.
     """
     if not 0.0 < threshold <= 1.0:
         raise ValueError("threshold must be in (0, 1]")
-    evidence_surfaces = set().union(*(span.content for span in evidence))
-    scorer = MaxSimScorer(evidence, vectors, set(query_surfaces) - evidence_surfaces)
-    return scorer.coverage(query_surfaces, range(len(evidence)), threshold)
+    query = frozenset(query_surfaces)
+    scorer = MaxSimScorer(evidence, vectors, query.difference(*(span.content for span in evidence)))
+    covered = frozenset().union(*[scorer.cover(query, threshold, pos) for pos in range(len(evidence))])
+    return CoverageState(covered=covered, remainder=query - covered, threshold=threshold)

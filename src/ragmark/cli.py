@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import dataclasses
+import errno
 import json
 import math
+import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -99,13 +101,31 @@ def _handles(cfg: RunConfig) -> PipelineHandles:
     )
 
 
+def _check_output_path(path: Path, *, directory: bool) -> None:
+    """Raise, creating nothing, the OSError that making `path` would raise: a directory and its parents
+    (`eval`, `sweep`) or a file in an existing directory (`highlight`). So a run whose output cannot be
+    written is refused before it does any work."""
+    existing = next((p for p in (path, *path.parents) if p.exists()), None)
+    if existing is path:  # the path itself: of the kind it is written as
+        code = 0 if path.is_dir() == directory else errno.EEXIST if directory else errno.EISDIR
+    elif existing is not None and not existing.is_dir():  # below a file
+        code = errno.ENOTDIR
+    else:  # missing: `mkdir(parents=True)` makes it, `open` needs its directory
+        code = 0 if directory or existing == path.parent else errno.ENOENT
+    if code:
+        raise OSError(code, os.strerror(code), str(path))  # the subclass of its errno, as `open` raises
+
+
 def _run_reports(cfg: RunConfig, run: Callable[..., dict[str, RunReport]]) -> dict[str, RunReport]:
-    """The path `eval` and `sweep` share: load the dataset, build the handles, take the named reports
-    of `run(records, handles)`, then write config.json and each `<name>.json` and `<name>.records.jsonl`."""
+    """The path `eval` and `sweep` share: load the dataset, build the handles, check `output_dir`, take
+    the named reports of `run(records, handles)`, then write config.json and each `<name>.json` and
+    `<name>.records.jsonl`."""
     if not cfg.dataset_path:
         _fail(f"config error: {click.get_current_context().info_name} needs dataset_path")
-    reports = run(load_dataset(cfg.dataset_path), _handles(cfg))
+    records, handles = load_dataset(cfg.dataset_path), _handles(cfg)
     out_dir = Path(cfg.output_dir)
+    _check_output_path(out_dir, directory=True)
+    reports = run(records, handles)
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg.save(out_dir / "config.json")
     for name, report in reports.items():
@@ -162,6 +182,7 @@ def cmd_highlight(query, config_path, kb_path, out_path, k_max_hops, top_k, no_s
     with _exit_codes():
         passages = load_passages(cfg.kb_path)
         index = build_index(passages, cfg.bm25)
+        _check_output_path(Path(out_path), directory=False)
         result = select_evidence(
             query,
             index.top_k(query, cfg.top_k),

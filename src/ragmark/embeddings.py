@@ -21,11 +21,9 @@ and any other corrupt record is skipped on load.
 
 from __future__ import annotations
 
-import base64
 import binascii
 import hashlib
 import os
-import sys
 import threading
 from dataclasses import dataclass
 from itertools import count
@@ -232,11 +230,6 @@ def _encode_rows(terms: Sequence[str], block: np.ndarray) -> str:
     )
 
 
-# `base64.b64decode(s, validate=True)` is `binascii.a2b_base64(s, strict_mode=True)` from
-# Python 3.11 on, less a copy of `s` as bytes; 3.10 has no strict mode, so it keeps the wrapper.
-_STRICT_A2B = sys.version_info >= (3, 11)
-
-
 class VectorCache(VectorTable):
     """A `VectorTable` backed by an append-only JSONL file of {"term", "dim", "f64"} records.
 
@@ -256,14 +249,13 @@ class VectorCache(VectorTable):
         super().__init__()
         file = KeyedJsonl(path)
         buf, row_of, size = bytearray(), {}, None  # the rows' bytes, term -> row, bytes per row
-        strict, a2b_base64, b64decode = _STRICT_A2B, binascii.a2b_base64, base64.b64decode
+        a2b_base64 = binascii.a2b_base64  # `base64.b64decode(s, validate=True)` less a copy of `s` as bytes
         with file.lines() as fh:
             for line_no, line in enumerate(fh, 1):
                 try:
                     rec = decode_line(line)
                     if "f64" in rec:
-                        payload = rec["f64"]
-                        raw = a2b_base64(payload, strict_mode=True) if strict else b64decode(payload, validate=True)
+                        raw = a2b_base64(rec["f64"], strict_mode=True)
                     else:
                         raw = np.array([float(v) for v in rec["values"]], dtype="<f8").tobytes()
                     term = rec["term"]

@@ -38,7 +38,8 @@ class MissingBm25Index(MissingSource):
 
 
 class MissingPrecomputedResults(MissingSource):
-    """precomputed-dense retrieval was requested with no precomputed results (no `results_path`)."""
+    """precomputed-dense retrieval was requested with no precomputed results (no `results_path`), or with
+    results that hold none of the run's query ids."""
 
 
 class MissingEmbeddingProvider(MissingSource):

@@ -347,13 +347,20 @@ def run_setting(
 
     Any other exception propagates (with one worker, from its record, before
     any later record runs). A retrieval source or an embedding provider the
-    setting needs and `handles` lacks raises a `MissingSource` before any
-    record runs.
+    setting needs and `handles` lacks, or precomputed results that hold
+    none of the records' query ids, raise a `MissingSource` before any
+    record runs; a record whose id alone is missing scores `MissingResults`.
     """
     if setting.retrieval == "bm25" and handles.bm25_index is None:
         raise MissingBm25Index("bm25 retrieval needs a BM25 index (kb_path)")
-    if setting.retrieval == "precomputed-dense" and handles.precomputed is None:
-        raise MissingPrecomputedResults("precomputed-dense retrieval needs precomputed results (results_path)")
+    if setting.retrieval == "precomputed-dense":
+        if handles.precomputed is None:
+            raise MissingPrecomputedResults("precomputed-dense retrieval needs precomputed results (results_path)")
+        if records and not any(r.query_id in handles.precomputed for r in records):
+            raise MissingPrecomputedResults(
+                f"none of the {len(records)} query ids to run has precomputed results"
+                f" (the results hold {len(handles.precomputed)} others)"
+            )
     if setting.highlighting and setting.retrieval != "none" and handles.embedding_provider is None:
         raise MissingEmbeddingProvider("highlighting needs an embedding provider")
     if handles.max_workers == 1:  # the same loop as a one-thread pool, without handing each record over

@@ -1,10 +1,12 @@
 """tools/bench_pairs.py: the summary of canned result lines, the refusal of a
 run that failed, was not checked or was slowed by other load, a whole run
-over two stand-in checkouts with each side's `outside_records_s`, and a pair
-run again after a disturbed run."""
+over two stand-in checkouts with each side's `outside_records_s`, a pair run
+again after a disturbed run, and a stopped run's whole pairs kept in a side
+file that a rerun of the same arguments goes on from."""
 
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -234,3 +236,77 @@ def test_a_run_refused_for_its_outputs_stops_the_tool_even_after_a_rerun(tmp_pat
     with pytest.raises(SystemExit, match="change seed 1: the run's outputs were not checked"):
         bench_pairs.main(argv)
     assert not (change / "BENCH_w.json").exists()
+
+
+def disturbed_at_seed_3(path, setups):
+    """A stand-in checkout that logs each seed it runs and reports a disturbed speed probe at seed 3
+    until a file named `quiet` is made in it."""
+    checkout(path, setups)
+    run = path / "perfbench" / "run.py"
+    quiet_line = f'print("# probe_s: {QUIET_PROBES[0]}")'
+    flaky_line = (
+        f"import pathlib\nroot = pathlib.Path({str(path)!r})\n"
+        "with (root / 'runs.log').open('a') as log:\n    log.write(f'{seed}\\n')\n"
+        f"disturbed = seed == 3 and not (root / 'quiet').exists()\n"
+        f'print("# probe_s: " + ({DISTURBED_PROBE!r} if disturbed else {QUIET_PROBES[0]!r}))'
+    )
+    run.write_text(run.read_text(encoding="utf-8").replace(quiet_line, flaky_line), encoding="utf-8")
+    return path
+
+
+def runs_of(path):
+    return [int(s) for s in (path / "runs.log").read_text(encoding="utf-8").split()]
+
+
+def interrupted_at_seed_3(tmp_path):
+    """Two stand-in checkouts and a four-seed run of them that stopped at seed 3's third disturbed attempt."""
+    parent, change = disturbed_at_seed_3(tmp_path / "parent", PARENT[:4]), checkout(tmp_path / "change", CHANGE[:4])
+    argv = ["--parent", str(parent), "--change", str(change), "--workload", "w", "--metric", "setup_s",
+            "--claim", "c", "--seeds", "4", "--seconds", "1"]
+    with pytest.raises(SystemExit, match="parent seed 3: other load slowed the run"):
+        bench_pairs.main(argv)
+    return parent, change, argv
+
+
+def test_a_third_disturbed_attempt_keeps_the_whole_pairs_before_it(tmp_path):
+    parent, change, _ = interrupted_at_seed_3(tmp_path)
+    assert runs_of(parent) == [1, 2, 3, 3, 3]  # seed 3 runs parent first: the change never ran it
+    assert not (change / "BENCH_w.json").exists()
+    kept = json.loads((change / "BENCH_w.partial.json").read_text(encoding="utf-8"))
+    assert [(p["seed"], p["first"]) for p in kept["pairs"]] == [(1, "parent"), (2, "change")]
+    assert [p["parent"]["metrics"]["setup_s"]["value"] for p in kept["pairs"]] == PARENT[:2]
+    assert [p["change"]["metrics"]["setup_s"]["value"] for p in kept["pairs"]] == CHANGE[:2]
+
+
+def test_a_rerun_goes_on_at_the_next_seed_and_deletes_the_side_file(tmp_path, capsys):
+    parent, change, argv = interrupted_at_seed_3(tmp_path)
+    (parent / "quiet").touch()
+    capsys.readouterr()
+    assert bench_pairs.main(argv) == 0
+    assert runs_of(parent) == [1, 2, 3, 3, 3, 3, 4]  # the rerun ran seeds 3 and 4 only
+    bench = json.loads((change / "BENCH_w.json").read_text(encoding="utf-8"))
+    assert [(p["seed"], p["first"]) for p in bench["pairs"]] == [(1, "parent"), (2, "change"), (3, "parent"), (4, "change")]
+    assert [p["parent"]["metrics"]["setup_s"]["value"] for p in bench["pairs"]] == PARENT[:4]
+    assert [p["change"]["metrics"]["setup_s"]["value"] for p in bench["pairs"]] == CHANGE[:4]
+    assert bench["summary"] == bench_pairs.summarize(bench["pairs"], "setup_s", "lower")
+    assert bench["machine"].startswith("2 cores, Python 3.11.7, numpy 2.0.0; ")
+    assert not (change / "BENCH_w.partial.json").exists()
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"resuming after seed 2 from {change / 'BENCH_w.partial.json'}"
+    assert lines[1:3] == ["seed 3 parent: setup_s 0.42", "seed 3 change: setup_s 0.32"]
+
+
+@pytest.mark.parametrize("option, other", [("--seconds", "2"), ("--parent", "elsewhere")])
+def test_a_rerun_with_other_arguments_is_refused_and_names_the_side_file(tmp_path, option, other):
+    parent, change, argv = interrupted_at_seed_3(tmp_path)
+    (parent / "quiet").touch()
+    if option == "--parent":
+        other = str(disturbed_at_seed_3(tmp_path / other, PARENT[:4]))
+    changed = [*argv]
+    changed[changed.index(option) + 1] = other
+    side_file = change / "BENCH_w.partial.json"
+    kept = side_file.read_text(encoding="utf-8")
+    with pytest.raises(SystemExit, match=re.escape(f"error: {side_file} holds the pairs of a run of ")):
+        bench_pairs.main(changed)
+    assert runs_of(parent) == [1, 2, 3, 3, 3]
+    assert side_file.read_text(encoding="utf-8") == kept and not (change / "BENCH_w.json").exists()

@@ -4,11 +4,14 @@ A setting with an unknown model family, a provider with a dimension or batch
 size below 1, a config value of the wrong JSON type (a bool or text where a
 number belongs), a configured input file that does not exist, a path of the
 wrong kind (a directory where a file belongs, a path below a file, an output
-directory that is a file) and a vector cache of another dimension than its
+directory that is a file), precomputed results that hold none of the
+dataset's query ids and a vector cache of another dimension than its
 provider, or of two, are config errors: `eval` and `sweep` exit 2 and write
 no report, and so does `highlight` (and `index`, on a path of the wrong
-kind). A dataset gold answer that can never be matched, an MCQ gold label
-that is not one of the record's choices, an MCQ choice key that is a lower-case letter
+kind). An output path of the wrong kind and results without the query ids
+are refused before any record runs, or before `highlight` selects. A
+dataset gold answer that can never be matched, an MCQ gold label that is not
+one of the record's choices, an MCQ choice key that is a lower-case letter
 (the article "a" would match label a) and a repeated query id in the
 precomputed results are load errors that name their line: `eval` and `sweep`
 exit 1 on them and write no report. An argument out
@@ -17,11 +20,13 @@ raises before any work is done.
 """
 
 import json
+import os
 from dataclasses import replace
 
 import pytest
 from click.testing import CliRunner
 
+from ragmark import cli, evaluation
 from ragmark.cli import main
 from ragmark.config import RunConfig
 from ragmark.embeddings import OfflineEmbeddingProvider, ProviderConfig
@@ -163,6 +168,7 @@ COMMANDS = pytest.mark.parametrize("command", [["eval"], ["sweep", "--k-values",
         {"provider": {"model_name": None}, "highlighting": True},
         {"provider": {"model_name": 3}, "highlighting": True},
         {"provider": {"kind": "remote", "endpoint": 5}},
+        {"retrieval": "precomputed-dense", "results_path": os.devnull},
     ],
     ids=[
         "model_family", "dimension", "batch_size", "bm25-null", "retriever-null", "provider-null",
@@ -171,7 +177,7 @@ COMMANDS = pytest.mark.parametrize("command", [["eval"], ["sweep", "--k-values",
         "m_threshold-text", "m_threshold-null", "k1-bool", "k1-text", "k1-null", "b-bool", "b-text", "b-null",
         "kb_path-int", "output_dir-int",
         "reply_cache_path-int", "qa_model-int", "stepback_model-null", "cache_path-int", "cache_path-bool",
-        "provider-model_name-null", "provider-model_name-int", "endpoint-int",
+        "provider-model_name-null", "provider-model_name-int", "endpoint-int", "results-without-the-query-ids",
     ],
 )
 def test_eval_and_sweep_exit_2_on_an_invalid_setting(tmp_path, command, changes):
@@ -264,6 +270,58 @@ def test_eval_and_sweep_exit_2_on_an_output_dir_that_is_not_a_directory(tmp_path
     assert ("Not a directory" if below else "File exists") in output
     assert outfile.read_text(encoding="utf-8") == "kept\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "dataset.jsonl", "kb.jsonl", "outfile"]
+
+
+def count_calls(monkeypatch, module, name):
+    """The calls made to `module.name` from now on, which each return None."""
+    calls = []
+    monkeypatch.setattr(module, name, lambda *args, **kwargs: calls.append(args))
+    return calls
+
+
+@COMMANDS
+@pytest.mark.parametrize("below", [False, True], ids=["a-file", "below-a-file"])
+def test_eval_and_sweep_refuse_an_output_dir_that_is_not_a_directory_before_any_record_runs(
+    tmp_path, monkeypatch, command, below
+):
+    calls = count_calls(monkeypatch, evaluation, "_evaluate_record")
+    outfile = tmp_path / "outfile"
+    outfile.write_text("kept\n", encoding="utf-8")
+    path = config_with(tmp_path, output_dir=str(outfile / "run" if below else outfile))
+    assert ("Not a directory" if below else "File exists") in assert_config_error(tmp_path, command, path)
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "out, message",
+    [("adir", "Is a directory"), ("afile/out.json", "Not a directory"), ("missing/out.json", "No such file")],
+    ids=["a-directory", "below-a-file", "in-a-missing-directory"],
+)
+def test_highlight_refuses_an_out_it_cannot_write_before_it_selects(tmp_path, monkeypatch, out, message):
+    calls = count_calls(monkeypatch, cli, "select_evidence")
+    kb = write_jsonl(tmp_path / "kb.jsonl", KB)
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "afile").write_text("kept\n", encoding="utf-8")
+    args = ["highlight", "--query", RECORD["question"], "--kb", str(kb), "--out", str(tmp_path / out), "--no-stepback"]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert "config error: " in result.output and message in result.output
+    assert calls == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "afile", "kb.jsonl"] and not any((tmp_path / "adir").iterdir())
+
+
+@COMMANDS
+def test_eval_and_sweep_refuse_results_that_hold_none_of_the_query_ids_before_any_record_runs(
+    tmp_path, monkeypatch, command
+):
+    calls = count_calls(monkeypatch, evaluation, "_evaluate_record")
+    results = write_jsonl(tmp_path / "results.jsonl", [
+        {"query_id": "q8", "passages": KB}, {"query_id": "q9", "passages": KB},
+    ])
+    path = config_with(tmp_path, retrieval="precomputed-dense", results_path=str(results))
+    output = assert_config_error(tmp_path, command, path)
+    assert "none of the 1 query ids to run has precomputed results (the results hold 2 others)" in output
+    assert calls == []
 
 
 @pytest.mark.parametrize(

@@ -5,8 +5,8 @@
 from the line's first character to its newline or end; every other line goes to
 `json.loads`. `read_records` and `KeyedJsonl.load` give, line for line, the values
 and the `MalformedRecord` messages of `json.loads`. The vector cache decodes its
-payloads with `binascii.a2b_base64(..., strict_mode=True)` from Python 3.11 on, which
-accepts and rejects what `b64decode(..., validate=True)` does, and loads the table
+payloads with `binascii.a2b_base64(..., strict_mode=True)`, which accepts and
+rejects what `b64decode(..., validate=True)` does, and loads the table
 today's loader loaded (`oracles.reference_vector_cache`), or refuses a file whose valid
 records have more than one dimension.
 """
@@ -16,15 +16,12 @@ import binascii
 import json
 import re
 import shutil
-import sys
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ragmark import embeddings
 from ragmark.embeddings import VectorCache
 from ragmark.errors import DimensionMismatch, MalformedRecord
 from ragmark.jsonl import KeyedJsonl, decode_line, read_records
@@ -168,7 +165,6 @@ PAYLOADS = [
 ]
 
 
-@pytest.mark.skipif(sys.version_info < (3, 11), reason="binascii has no strict mode before Python 3.11")
 @pytest.mark.parametrize("payload", PAYLOADS, ids=repr)
 def test_strict_a2b_base64_accepts_and_rejects_what_b64decode_validate_does(payload):
     def result(decode):
@@ -233,23 +229,15 @@ def loaded_table(cache: VectorCache) -> dict[int, list[tuple[str, bytes]]]:
     return {cache.dim: [(term, cache.arrays[0][i].astype("<f8").tobytes()) for i, term in held]}
 
 
-STRICT = [
-    pytest.param(True, id="a2b_base64", marks=pytest.mark.skipif(
-        sys.version_info < (3, 11), reason="binascii has no strict mode before Python 3.11")),
-    pytest.param(False, id="b64decode"),
-]
-
-
 # A file of one dimension, or one whose lines each draw their own.
 FILES = st.integers(1, 3).flatmap(lambda dim: st.lists(cache_lines(st.just(dim)), max_size=14)) | st.lists(
     cache_lines(st.integers(1, 3)), max_size=14
 )
 
 
-@pytest.mark.parametrize("strict", STRICT)
 @settings(max_examples=150, deadline=None)
 @given(lines=FILES, torn=st.integers(0, 60))
-def test_the_cache_loads_the_table_the_reference_loads(strict, lines, torn, tmp_path_factory):
+def test_the_cache_loads_the_table_the_reference_loads(lines, torn, tmp_path_factory):
     text = "".join(line + "\n" for line in lines)
     if lines and torn:  # the last line cut short, without its newline
         text = text[: -1 - len(lines[-1])] + lines[-1][:torn]
@@ -258,10 +246,9 @@ def test_the_cache_loads_the_table_the_reference_loads(strict, lines, torn, tmp_
     path.write_bytes(text.encode("utf-8"))
     shutil.copyfile(path, copy)
     want = reference_vector_cache(copy)
-    with mock.patch.object(embeddings, "_STRICT_A2B", strict):
-        if len(want) > 1:  # valid records of two dimensions: the open is refused
-            with pytest.raises(DimensionMismatch, match=re.escape(f"{path} line ")):
-                VectorCache(path)
-            return
-        cache = VectorCache(path)
+    if len(want) > 1:  # valid records of two dimensions: the open is refused
+        with pytest.raises(DimensionMismatch, match=re.escape(f"{path} line ")):
+            VectorCache(path)
+        return
+    cache = VectorCache(path)
     assert loaded_table(cache) == want

@@ -275,35 +275,20 @@ def test_scorer_coverage_matches_a_brute_force_running_max():
     rng = np.random.default_rng(31)
     vectors = exact_vectors(rng, VOCAB)
     arrays = {s: np.asarray(v.values) for s, v in vectors.items()}
-    unrowed_cases = 0
     for _ in range(200):
         pool = random_pool(rng)
         positions = [int(p) for p in rng.integers(0, len(pool), size=int(rng.integers(0, len(pool) + 2)))]
         evidence = set().union(*(pool[p].content for p in positions))
         query = {t.surface for t in random_query(rng)}
-        # A surface without a row can be covered only verbatim: leave out one that the evidence holds.
-        unrowed = set(sorted(query & evidence)[:1])
-        unrowed_cases += bool(unrowed)
-        scorer = MaxSimScorer(pool, vectors, query - unrowed)
         for threshold in (0.25, 0.5, 0.75, 1.0):
-            running = dict.fromkeys(query - unrowed, 0.0)
+            running = dict.fromkeys(query, 0.0)
             for p in positions:
                 for q in running:
                     cosines = [float(np.dot(arrays[q], arrays[e])) / 4.0 for e in pool[p].content]
                     running[q] = max([running[q], *cosines])
-            covered = {q for q in query if q in evidence or running.get(q, 0.0) > threshold}
-            state = scorer.coverage(query, positions, threshold)
+            covered = {q for q in query if q in evidence or running[q] > threshold}
+            state = coverage(query, [pool[p] for p in positions], vectors, threshold)
             assert (state.covered, state.remainder, state.threshold) == (covered, query - covered, threshold)
-    assert unrowed_cases > 0
-
-
-def test_scorer_coverage_needs_a_row_for_a_surface_the_evidence_lacks():
-    rng = np.random.default_rng(3)
-    pool = split_sentences("p", "w1 w2. w3 w4.")
-    scorer = MaxSimScorer(pool, exact_vectors(rng, VOCAB), [])
-    assert scorer.coverage({"w1", "w3"}, [], 0.5).remainder == {"w1", "w3"}
-    with pytest.raises(ValueError, match="'w3' is not a row"):
-        scorer.coverage({"w1", "w3"}, [0], 0.5)
 
 
 @pytest.mark.parametrize("threshold", [0.0, -0.25, 1.25, float("nan")])
@@ -313,8 +298,6 @@ def test_coverage_rejects_a_threshold_outside_zero_one(threshold):
     pool = split_sentences("p", "w1 w2. w3 w4.")
     with pytest.raises(ValueError, match="threshold must be in"):
         coverage({"w1"}, pool, vectors, threshold)
-    with pytest.raises(ValueError, match="threshold must be in"):
-        MaxSimScorer(pool, vectors, ["w1"]).coverage({"w1"}, [0], threshold)
 
 
 def test_chain_with_a_scorer_that_lacks_a_query_row_raises_value_error():

@@ -20,6 +20,12 @@ each side's median `outside_records_s` (the run info's time per round that
 `run_setting` spends around its records), and writes the claimed metric's
 summary and every pair to `BENCH_<workload>.json` in the change checkout; each
 run in a pair keeps its `outside_records_s`, null when its info lacks it.
+
+After each whole pair, the pairs so far go to `BENCH_<workload>.partial.json` in
+the change checkout. A run that stops (a refused or thrice-disturbed run, or an
+interrupt) keeps them there: rerun with the same two checkouts, workload and
+`--seconds` to go on at the next seed, in the same alternation; a rerun that
+changes any of those stops and names the file. A finished run deletes it.
 Standard library only.
 """
 
@@ -158,6 +164,20 @@ def outside_report(pairs: list[dict]) -> str:
     return f"{OUTSIDE} (median per round outside the records): {', '.join(medians)}"
 
 
+def resumed(path: Path, key: dict) -> tuple[list[dict], dict]:
+    """(pairs, last run info) kept in the side file at `path` by an earlier run with the same `key`,
+    or none when there is no file; exits when the file was written for another key."""
+    if not path.exists():
+        return [], {}
+    kept = json.loads(path.read_text(encoding="utf-8"))
+    if kept["key"] != key:
+        raise SystemExit(
+            f"error: {path} holds the pairs of a run of {kept['key']}, not of {key}; "
+            "rerun with those arguments to go on, or delete the file to start again"
+        )
+    return kept["pairs"], kept["info"]
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
@@ -179,10 +199,19 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"--metric must be one of {sorted(better)}")
 
     checkouts = {"parent": args.parent, "change": args.change}
-    pairs, info = [], {}
-    for seed in range(1, args.seeds + 1):
+    partial = args.change / f"BENCH_{args.workload}.partial.json"
+    key = {"parent": str(args.parent.resolve()), "change": str(args.change.resolve()),
+           "workload": args.workload, "seconds": args.seconds}
+    pairs, info = resumed(partial, key)
+    if pairs:
+        print(f"resuming after seed {len(pairs)} from {partial}", flush=True)
+    for seed in range(len(pairs) + 1, args.seeds + 1):
         pair, info = run_pair(checkouts, args.workload, seed, args.seconds, args.metric)
         pairs.append(pair)
+        written = partial.with_name(partial.name + ".tmp")  # replaced whole, so an interrupt leaves the last one
+        written.write_text(json.dumps({"key": key, "info": info, "pairs": pairs}) + "\n", encoding="utf-8")
+        written.replace(partial)
+    pairs = pairs[: args.seeds]
 
     print("\n".join([*report(pairs, end_to_end), outside_report(pairs)]))
     seconds = f"{args.seconds:g}"
@@ -198,6 +227,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     out = args.change / f"BENCH_{args.workload}.json"
     out.write_text(json.dumps(bench, indent=1) + "\n", encoding="utf-8")
+    partial.unlink(missing_ok=True)
     print(f"wrote {out}")
     return 0
 
