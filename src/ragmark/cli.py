@@ -103,7 +103,7 @@ def _handles(cfg: RunConfig) -> PipelineHandles:
 
 def _check_output_path(path: Path, *, directory: bool) -> None:
     """Raise, creating nothing, the OSError that making `path` would raise: a directory and its parents
-    (`eval`, `sweep`) or a file in an existing directory (`highlight`). So a run whose output cannot be
+    (`eval`, `sweep`) or a file in an existing directory (`index`, `highlight`). So a run whose output cannot be
     written is refused before it does any work."""
     existing = next((p for p in (path, *path.parents) if p.exists()), None)
     if existing is path:  # the path itself: of the kind it is written as
@@ -114,6 +114,14 @@ def _check_output_path(path: Path, *, directory: bool) -> None:
         code = 0 if directory or existing == path.parent else errno.ENOENT
     if code:
         raise OSError(code, os.strerror(code), str(path))  # the subclass of its errno, as `open` raises
+
+
+def _check_out(out_path: str, kb_path: str) -> None:
+    """Refuse, before the KB is read, an `--out` that cannot be written or that is the KB file itself."""
+    out = Path(out_path)
+    _check_output_path(out, directory=False)
+    if out.exists() and os.path.samefile(out, kb_path):
+        _fail(f"config error: --out {out_path} is the KB file {kb_path}; it would be overwritten")
 
 
 def _run_reports(cfg: RunConfig, run: Callable[..., dict[str, RunReport]]) -> dict[str, RunReport]:
@@ -150,6 +158,7 @@ def main() -> None:
 def cmd_index(kb_path: str, out_path: str) -> None:
     """Build a BM25 index over a KB; write its passages and corpus statistics as JSON, and print the statistics."""
     with _exit_codes():
+        _check_out(out_path, kb_path)
         passages = load_passages(kb_path)
         index = build_index(passages)
         payload = {
@@ -180,9 +189,9 @@ def cmd_highlight(query, config_path, kb_path, out_path, k_max_hops, top_k, no_s
     if not cfg.kb_path:
         _fail("config error: highlight needs --kb or kb_path in the config")
     with _exit_codes():
+        _check_out(out_path, cfg.kb_path)
         passages = load_passages(cfg.kb_path)
         index = build_index(passages, cfg.bm25)
-        _check_output_path(Path(out_path), directory=False)
         result = select_evidence(
             query,
             index.top_k(query, cfg.top_k),

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DuplicateId, EmptyIndex, MalformedRecord
 from .jsonl import TEXT, as_text, check_field_types, read_records, require
-from .text import STOPWORDS, SentenceSpan, extract_terms, split_sentences, word_surfaces
+from .text import STOPWORDS, SentenceSpan, extract_terms, split_sentences, word_surface
 
 
 @dataclass(frozen=True)
@@ -54,12 +54,10 @@ class _WordIds(dict):
         self.term_ids = term_ids
 
     def __missing__(self, word: str) -> int:
-        surfaces = word_surfaces(word)  # one surface at most: `word` holds no space
-        if not surfaces or surfaces[0] in STOPWORDS:
-            t = -1
-        else:
-            surface = word if surfaces[0] == word else surfaces[0]  # one string, not two
-            t = self.term_ids.setdefault(surface, len(self.term_ids))
+        # `word_surfaces(word)` would lowercase `word` again and split it, a no-op on a word
+        # that is lowercased and holds no whitespace: lowering twice is lowering once.
+        surface = word_surface(word)
+        t = self.term_ids.setdefault(surface, len(self.term_ids)) if surface and surface not in STOPWORDS else -1
         self[word] = t
         return t
 
@@ -76,8 +74,8 @@ class Bm25Index:
 
     def __init__(self, passages: list[Passage], params: Bm25Params = Bm25Params()):
         ids = [p.id for p in passages]
-        dupes = sorted(i for i, count in Counter(ids).items() if count > 1)
-        if dupes:
+        if len(set(ids)) < len(ids):
+            dupes = sorted(i for i, count in Counter(ids).items() if count > 1)
             raise DuplicateId(f"duplicate passage ids: {dupes}")
         self.params = params
         self.passages = tuple(passages)
@@ -182,10 +180,16 @@ def build_index(passages: list[Passage], params: Bm25Params = Bm25Params()) -> B
 
 
 def _passage(entry: dict, line_no: int, rank: int | None = None) -> Passage:
-    """A Passage from a KB line or, given its `rank`, from a precomputed result entry."""
-    pid = str(require(entry, "id", line_no, TEXT))
-    title = str(require(entry, "title", line_no, TEXT))
-    text = str(require(entry, "text", line_no, TEXT))
+    """A Passage from a KB line or, given its `rank`, from a precomputed result entry.
+
+    An object whose `id`, `title` and `text` are all strings, as every KB line written
+    by a program is, is read as it is; any other entry goes through `require` field by
+    field, which raises the first fault in the order id, title, text."""
+    pid = title = text = None
+    if type(entry) is dict:
+        pid, title, text = entry.get("id"), entry.get("title"), entry.get("text")
+    if not (type(pid) is str and type(title) is str and type(text) is str):
+        pid, title, text = (str(require(entry, name, line_no, TEXT)) for name in ("id", "title", "text"))
     source = "kb" if rank is None else as_text(entry.get("source", "kb"), "source", line_no)
     try:
         return Passage(pid, title, text, source, rank)

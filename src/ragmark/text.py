@@ -49,6 +49,12 @@ def _trimmed(s: str) -> str:
     return s[i:j]
 
 
+def word_surface(word: str) -> str:
+    """The surface of one lowercased word that holds no whitespace, as `word_surfaces` takes
+    it: the word itself when it is all alphanumeric, else `_trimmed(word)`."""
+    return word if word.isalnum() else _trimmed(word)
+
+
 def normalize_term(raw: str) -> Term | None:
     """Lowercase `raw` and strip surrounding non-alphanumeric characters.
 
@@ -69,7 +75,7 @@ def word_surfaces(text: str) -> list[str]:
     text is lowercased first and then split at `str.isspace` runs."""
     out = []
     for word in text.lower().split():
-        surface = word if word.isalnum() else _trimmed(word)
+        surface = word if word.isalnum() else _trimmed(word)  # `word_surface(word)`, without a call per word
         if surface:
             out.append(surface)
     return out

@@ -19,8 +19,10 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ragmark.embeddings import TermVector, VectorView, lookup
-from ragmark.errors import DimensionMismatch, MissingVector, ZeroVector
+from ragmark.errors import DimensionMismatch, MalformedRecord, MissingVector, ZeroVector
 from ragmark.highlight import HighlightedDocument
+from ragmark.jsonl import TEXT, as_text, require
+from ragmark.store import Passage
 from ragmark.text import STOPWORDS, SentenceSpan, extract_terms, word_surfaces
 
 
@@ -163,6 +165,19 @@ def reference_normalize(raw: str) -> str | None:
 def reference_surfaces(text: str) -> list[str]:
     """`reference_normalize` of each whitespace-split word, empty ones dropped."""
     return [s for s in map(reference_normalize, text.split()) if s is not None]
+
+
+def reference_passage(entry: dict, line_no: int, rank: int | None = None) -> Passage:
+    """A Passage from a KB line or a ranked precomputed entry, each field read through
+    `require` in the order id, title, text, whatever the entry holds."""
+    pid = str(require(entry, "id", line_no, TEXT))
+    title = str(require(entry, "title", line_no, TEXT))
+    text = str(require(entry, "text", line_no, TEXT))
+    source = "kb" if rank is None else as_text(entry.get("source", "kb"), "source", line_no)
+    try:
+        return Passage(pid, title, text, source, rank)
+    except ValueError as exc:
+        raise MalformedRecord(f"line {line_no}: {exc}", line_no) from exc
 
 
 def reference_offline_vector(seed: int, term: str, dim: int) -> tuple[float, ...]:

@@ -413,3 +413,49 @@ def test_a_passage_id_listed_twice_in_one_precomputed_result_is_a_load_error(tmp
     repeated = {"query_id": "q1", "passages": [KB[0], {**KB[0], "id": "p2"}, {**KB[0], "text": "Lions roar."}]}
     error = load_error_on_line_2(tmp_path, load_precomputed_results, first, repeated, DuplicateId)
     assert str(error) == "line 2: passage id 'p1' listed twice for query_id 'q1'"
+
+
+def kb_command(command, kb, out):
+    """The `index` or `highlight` arguments that read `kb` and write `out`."""
+    if command == "index":
+        return ["index", "--kb", str(kb), "--out", str(out)]
+    return ["highlight", "--query", RECORD["question"], "--kb", str(kb), "--out", str(out), "--no-stepback"]
+
+
+KB_COMMANDS = pytest.mark.parametrize("command", ["index", "highlight"])
+
+
+@KB_COMMANDS
+@pytest.mark.parametrize(
+    "out, message",
+    [("adir", "Is a directory"), ("afile/out.json", "Not a directory"), ("missing/out.json", "No such file")],
+    ids=["a-directory", "below-a-file", "in-a-missing-directory"],
+)
+def test_index_and_highlight_refuse_an_out_they_cannot_write_before_they_read_the_kb(
+    tmp_path, monkeypatch, command, out, message
+):
+    loads = count_calls(monkeypatch, cli, "load_passages")
+    builds = count_calls(monkeypatch, cli, "build_index")
+    kb = write_jsonl(tmp_path / "kb.jsonl", KB)
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "afile").write_text("kept\n", encoding="utf-8")
+    result = CliRunner().invoke(main, kb_command(command, kb, tmp_path / out))
+    assert result.exit_code == 2, result.output
+    assert "config error: " in result.output and message in result.output
+    assert loads == [] and builds == []
+
+
+@KB_COMMANDS
+@pytest.mark.parametrize("spelling", ["same-path", "dotted-path", "symlink"])
+def test_index_and_highlight_refuse_an_out_that_is_the_kb_file(tmp_path, monkeypatch, command, spelling):
+    loads = []
+    monkeypatch.setattr(cli, "load_passages", lambda path, load=cli.load_passages: loads.append(path) or load(path))
+    kb = write_jsonl(tmp_path / "kb.jsonl", KB)
+    before = kb.read_bytes()
+    out = {"same-path": kb, "dotted-path": tmp_path / "." / "kb.jsonl", "symlink": tmp_path / "link.jsonl"}[spelling]
+    if spelling == "symlink":
+        out.symlink_to(kb)
+    result = CliRunner().invoke(main, kb_command(command, kb, out))
+    assert result.exit_code == 2, result.output
+    assert f"config error: --out {out} is the KB file {kb}" in result.output
+    assert kb.read_bytes() == before and loads == []
